@@ -28,7 +28,7 @@ from .model import ItemParams, ModelKind
 from .patterns import IngestionError, load_response_csv, tabulate
 from .simgen import StudyDesign, StudySummary, is_outlier
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 STUDY_CSV_COLUMNS = (
     "item",

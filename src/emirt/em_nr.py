@@ -1,8 +1,13 @@
-"""Reference estimator: EM whose M-step solves the score equations by Newton-Raphson.
+"""Reference estimator: EM whose M-step maximizes Q1 by Newton-Raphson.
 
-Serves as the in-repo oracle for the OLS-based EM.  The per-item score of
-the expected complete-data log-likelihood is analytic; the 2x2 Hessian is
-taken by central finite differences of that score.
+Serves as the in-repo oracle for the OLS-based EM, in the EM frame of
+Bock & Aitkin (1981).  With logit P = a*theta + tau, each item's part of
+the expected complete-data log-likelihood is a binomial logistic
+regression of the expected counts (N1_jt, N_t) on the quadrature nodes.
+It is concave in (a, tau), its score and 2x2 Hessian are closed-form, and
+Newton's method on it is iteratively reweighted least squares (McCullagh
+& Nelder, Generalized Linear Models, 1989, ch. 4).  The M-step runs that
+iteration on all items at once; no finite differences.
 """
 from __future__ import annotations
 
@@ -13,15 +18,15 @@ import numpy as np
 
 from . import expectation
 from .em_ols import FitConfig, FitResult, IterationCallback, _run_em
-from .expectation import ExpectedCounts
+from .expectation import EPS_P, ExpectedCounts
 from .model import ItemParams, ModelKind
 from .patterns import PatternData
 from .quadrature import QuadratureGrid
 
-HESSIAN_FALLBACK = "hessian_fallback"
-
-_FD_STEP = 1e-5
-_GRADIENT_STEP = 0.1
+# A 2PL Hessian determinant at or below this fraction of I_aa * I_tautau
+# is rounding noise (Cauchy-Schwarz makes the fraction 0 when all the
+# curvature sits at one node), so the item counts as singular.
+_DET_RTOL = 1e-14
 
 
 class MonotonicityViolationError(RuntimeError):
@@ -30,7 +35,11 @@ class MonotonicityViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class NRConfig(FitConfig):
-    """FitConfig plus the inner Newton loop controls."""
+    """FitConfig plus the inner Newton loop controls.
+
+    An item's Newton loop stops once the norm of its score in (a, b)
+    (b alone for the 1PL) falls below inner_tol.
+    """
 
     inner_max_iter: int = 50
     inner_tol: float = 1e-8
@@ -44,6 +53,28 @@ class NRConfig(FitConfig):
             raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
 
 
+def _score(
+    prob: np.ndarray, n1: np.ndarray, nt: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-item score of Q1 in (a, tau): (sum_t r_t theta_t, sum_t r_t).
+
+    r_t = N1_jt - N_t * P_j(theta_t) are the count residuals.
+    """
+    resid = n1 - nt * prob
+    return resid @ theta, resid.sum(axis=1)
+
+
+def _information(
+    prob: np.ndarray, nt: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-item entries (I_aa, I_atau, I_tautau) of minus the Q1 Hessian.
+
+    -H = sum_t w_t [theta_t^2, theta_t; theta_t, 1], w_t = N_t P_t (1 - P_t).
+    """
+    weight = nt * prob * (1.0 - prob)
+    return weight @ (theta * theta), weight @ theta, weight.sum(axis=1)
+
+
 def item_score(
     p: ItemParams, n1_j: np.ndarray, nt: np.ndarray, grid: QuadratureGrid
 ) -> tuple[float, float]:
@@ -53,123 +84,9 @@ def item_score(
         s_a = sum_t (theta_t - b) * r_t
         s_b = -a * sum_t r_t
     """
-    prob = expectation.response_prob_matrix([p], grid)[0]
-    resid = n1_j - nt * prob
-    s_a = float((grid.nodes - p.b) @ resid)
-    s_b = float(-p.a * resid.sum())
-    return s_a, s_b
-
-
-def _item_q1(
-    p: ItemParams, n1_j: np.ndarray, nt: np.ndarray, grid: QuadratureGrid
-) -> float:
-    counts = ExpectedCounts(n1=n1_j[None, :], nt=nt)
-    return expectation.q1([p], counts, grid)
-
-
-def _score_vector(x, free, n1_j, nt, grid):
-    p = ItemParams(a=x[0], b=x[1])
-    s = item_score(p, n1_j, nt, grid)
-    return np.array([s[i] for i in free])
-
-
-def _fd_hessian(x, free, n1_j, nt, grid):
-    """Jacobian of the score (Hessian of item Q1) by central differences."""
-    k = len(free)
-    hess = np.empty((k, k))
-    for col, idx in enumerate(free):
-        step = np.zeros(2)
-        step[idx] = _FD_STEP
-        s_plus = _score_vector(x + step, free, n1_j, nt, grid)
-        s_minus = _score_vector(x - step, free, n1_j, nt, grid)
-        hess[:, col] = (s_plus - s_minus) / (2.0 * _FD_STEP)
-    return 0.5 * (hess + hess.T)
-
-
-def _ascent_direction(hess: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Newton direction made safe for maximization.
-
-    At a maximum the Hessian of Q1 is negative definite and this is the
-    plain Newton step.  Elsewhere positive curvature directions are
-    flipped (saddle-free Newton), so the step is always an ascent
-    direction and the iteration cannot be attracted to the saddle at a=0.
-    """
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    peak = float(np.abs(eigvals).max())
-    if peak < 1e-10:
-        raise np.linalg.LinAlgError("flat curvature")
-    safe = -np.maximum(np.abs(eigvals), 1e-8 * peak)
-    return eigvecs @ ((eigvecs.T @ score) / -safe)
-
-
-def _newton_item(
-    p: ItemParams,
-    n1_j: np.ndarray,
-    nt: np.ndarray,
-    grid: QuadratureGrid,
-    cfg: NRConfig,
-    model: ModelKind,
-) -> tuple[ItemParams, bool, list[float]]:
-    """Newton iterations on (a, b) (or b alone for the 1PL) for one item.
-
-    Steps that would decrease the item's Q1 contribution are halved, up to
-    cfg.step_halving_max times; a singular Hessian falls back to a fixed
-    gradient-ascent step.  A zero score with positive curvature left over
-    (a saddle) is escaped along the positive-curvature eigenvector.
-    Returns the updated parameters, whether the fallback fired, and the
-    score-norm history.
-    """
-    free = [1] if model is ModelKind.ONE_PL else [0, 1]
-    x = np.array([p.a, p.b], dtype=float)
-    q_curr = _item_q1(p, n1_j, nt, grid)
-    # Accept steps down to the rounding noise of the Q1 evaluation itself.
-    q_slack = 1e-13 * max(1.0, abs(q_curr))
-    fallback = False
-    norms: list[float] = []
-
-    def try_direction(direction: np.ndarray) -> bool:
-        nonlocal x, q_curr
-        step = 1.0
-        for _ in range(cfg.step_halving_max + 1):
-            x_new = x.copy()
-            for col, idx in enumerate(free):
-                x_new[idx] += step * direction[col]
-            if x_new[0] != 0.0:
-                q_new = _item_q1(ItemParams(a=x_new[0], b=x_new[1]), n1_j, nt, grid)
-                if q_new >= q_curr - q_slack:
-                    x, q_curr = x_new, max(q_new, q_curr)
-                    return True
-            step *= 0.5
-        return False
-
-    for _ in range(cfg.inner_max_iter):
-        score = _score_vector(x, free, n1_j, nt, grid)
-        norm = float(np.linalg.norm(score))
-        norms.append(norm)
-        hess = _fd_hessian(x, free, n1_j, nt, grid)
-        if norm < cfg.inner_tol:
-            if float(np.linalg.eigvalsh(hess).max()) <= cfg.inner_tol:
-                break
-            # stationary but not a maximum: kick along the ascent curvature
-            _, eigvecs = np.linalg.eigh(hess)
-            kick = _GRADIENT_STEP * eigvecs[:, -1]
-            if not (try_direction(kick) or try_direction(-kick)):
-                break
-            continue
-
-        try:
-            direction = _ascent_direction(hess, score)
-        except np.linalg.LinAlgError:
-            direction = _GRADIENT_STEP * score
-            fallback = True
-
-        if not try_direction(direction):
-            if np.allclose(direction, _GRADIENT_STEP * score) or not try_direction(
-                _GRADIENT_STEP * score
-            ):
-                break  # stalled at numerical stationarity
-
-    return ItemParams(a=float(x[0]), b=float(x[1])), fallback, norms
+    prob = expectation.response_prob_matrix([p], grid)
+    g_a, g_tau = _score(prob, n1_j[None, :], nt, grid.nodes)
+    return float(g_a[0] - p.b * g_tau[0]), float(-p.a * g_tau[0])
 
 
 def nr_mstep(
@@ -178,15 +95,72 @@ def nr_mstep(
     grid: QuadratureGrid,
     cfg: NRConfig,
     model: ModelKind,
-) -> tuple[list[ItemParams], list[bool]]:
-    """Per-item Newton-Raphson maximization of the expected log-likelihood."""
-    new_params: list[ItemParams] = []
-    fallbacks: list[bool] = []
-    for j, p in enumerate(params):
-        updated, fellback, _ = _newton_item(p, counts.n1[j], counts.nt, grid, cfg, model)
-        new_params.append(updated)
-        fallbacks.append(fellback)
-    return new_params, fallbacks
+) -> list[ItemParams]:
+    """Newton-Raphson (IRLS) maximization of every item's Q1 in (a, tau).
+
+    The 1PL keeps a fixed and updates tau alone.  A step that lowers an
+    item's Q1 by more than the rounding noise of Q1 itself is halved, up to
+    cfg.step_halving_max times.  An item stops when its (a, b) score norm
+    falls below cfg.inner_tol, when no halved step is accepted, or when its
+    Hessian is singular (curvature underflowed at saturated nodes).
+    """
+    theta, n1, nt = grid.nodes, counts.n1, counts.nt
+    n0 = nt[None, :] - n1
+    two_pl = model is ModelKind.TWO_PL
+    a = np.array([p.a for p in params])
+    tau = np.array([p.tau for p in params])
+
+    def prob_at(a, tau):
+        z = a[:, None] * theta[None, :] + tau[:, None]
+        return np.clip(expectation.logistic(z), EPS_P, 1.0 - EPS_P)
+
+    def item_q1(prob):
+        return (n1 * np.log(prob) + n0 * np.log1p(-prob)).sum(axis=1)
+
+    prob = prob_at(a, tau)
+    q = item_q1(prob)
+    slack = 1e-13 * np.maximum(1.0, np.abs(q))
+    active = np.ones(len(a), dtype=bool)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(cfg.inner_max_iter):
+            g_a, g_tau = _score(prob, n1, nt, theta)
+            i_aa, i_at, i_tt = _information(prob, nt, theta)
+            if two_pl:
+                norm = np.hypot(g_a + tau / a * g_tau, a * g_tau)
+                det = i_aa * i_tt - i_at * i_at
+                # curvature at a single node leaves det at rounding level
+                solvable = det > _DET_RTOL * i_aa * i_tt
+                step_a = (i_tt * g_a - i_at * g_tau) / det
+                step_tau = (i_aa * g_tau - i_at * g_a) / det
+            else:
+                norm = np.abs(a * g_tau)
+                solvable = i_tt > 0
+                step_a = np.zeros_like(a)
+                step_tau = g_tau / i_tt
+            active &= (norm >= cfg.inner_tol) & solvable
+            if not active.any():
+                break
+
+            pending = active.copy()
+            step = 1.0
+            for _ in range(cfg.step_halving_max + 1):
+                a_try = np.where(pending, a + step * step_a, a)
+                tau_try = np.where(pending, tau + step * step_tau, tau)
+                prob_try = prob_at(a_try, tau_try)
+                q_try = item_q1(prob_try)
+                accept = pending & (q_try >= q - slack) & (a_try != 0.0)
+                a = np.where(accept, a_try, a)
+                tau = np.where(accept, tau_try, tau)
+                q = np.where(accept, np.maximum(q_try, q), q)
+                prob[accept] = prob_try[accept]
+                pending &= ~accept
+                if not pending.any():
+                    break
+                step *= 0.5
+            active &= ~pending  # stalled at numerical stationarity
+
+    return [ItemParams(a=a_j, b=-t_j / a_j) for a_j, t_j in zip(a, tau)]
 
 
 def fit_nr(
@@ -200,8 +174,7 @@ def fit_nr(
     """
 
     def mstep(params, counts, grid):
-        new_params, fallbacks = nr_mstep(params, counts, grid, cfg, cfg.model)
-        return new_params, [{HESSIAN_FALLBACK} if f else set() for f in fallbacks]
+        return nr_mstep(params, counts, grid, cfg, cfg.model), [set() for _ in params]
 
     def enforce_ascent(ll_old, ll_new, iteration):
         raise MonotonicityViolationError(

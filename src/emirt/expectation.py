@@ -40,17 +40,22 @@ class ExpectedCounts:
     nt: np.ndarray
 
 
+def logistic(z: np.ndarray) -> np.ndarray:
+    """Elementwise exp(z) / (1 + exp(z)), overflow-safe for either sign of z.
+
+    1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise, so
+    the exponential never exceeds one.
+    """
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+
+
 def response_prob_matrix(params: Sequence[ItemParams], grid: QuadratureGrid) -> np.ndarray:
     """Clamped P_j(theta_t) for every item j and node t, shape (J, T)."""
     a = np.array([p.a for p in params])
     b = np.array([p.b for p in params])
     z = a[:, None] * (grid.nodes[None, :] - b[:, None])
-    prob = np.empty_like(z)
-    pos = z >= 0
-    prob[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    prob[~pos] = ez / (1.0 + ez)
-    return np.clip(prob, EPS_P, 1.0 - EPS_P)
+    return np.clip(logistic(z), EPS_P, 1.0 - EPS_P)
 
 
 def _pattern_logliks(

@@ -13,6 +13,7 @@ import numpy as np
 from . import em_nr, em_ols
 from .em_ols import DEGENERATE_SLOPE, FitConfig
 from .em_nr import NRConfig
+from .expectation import logistic
 from .model import ItemParams, ModelKind
 from .patterns import tabulate
 
@@ -117,13 +118,8 @@ def generate(
     theta = rng.standard_normal(n_persons)
     a = np.array([p.a for p in true_params])
     b = np.array([p.b for p in true_params])
-    z = a[None, :] * (theta[:, None] - b[None, :])
-    prob = np.empty_like(z)
-    pos = z >= 0
-    prob[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    prob[~pos] = ez / (1.0 + ez)
-    return (rng.random(z.shape) < prob).astype(np.uint8)
+    prob = logistic(a[None, :] * (theta[:, None] - b[None, :]))
+    return (rng.random(prob.shape) < prob).astype(np.uint8)
 
 
 def is_outlier(p: ItemParams, model: ModelKind, degenerate: bool = False) -> bool:

@@ -1,20 +1,14 @@
 """Tests for the Newton-Raphson reference estimator."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from emirt import em_nr
-from emirt.em_nr import (
-    HESSIAN_FALLBACK,
-    NRConfig,
-    _newton_item,
-    fit_nr,
-    item_score,
-    nr_mstep,
-)
+from emirt.em_nr import NRConfig, _information, _score, fit_nr, item_score, nr_mstep
 from emirt.em_ols import FitConfig, fit
-from emirt.expectation import ExpectedCounts, q1
+from emirt.expectation import ExpectedCounts, logistic, q1
 from emirt.model import ItemParams, ModelKind, irf
 from emirt.patterns import tabulate
 from emirt.quadrature import QuadratureGrid, normal_grid
@@ -74,66 +68,112 @@ class TestItemScore:
         assert abs(fd_b - s_b) <= 1e-5 * max(abs(s_b), 1.0)
 
 
+def score_norm(p, n1, nt, grid):
+    return math.hypot(*item_score(p, n1, nt, grid))
+
+
 class TestNewtonItem:
+    """The per-item Newton (IRLS) iteration inside nr_mstep."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hessian_matches_central_differences_of_the_score(self, seed):
+        rng = np.random.default_rng(seed)
+        theta = normal_grid(int(rng.integers(2, 8))).nodes
+        nt = rng.uniform(2, 40, (3, theta.size))
+        n1 = nt * rng.uniform(0.05, 0.95, nt.shape)
+        a, tau = rng.uniform(0.4, 2, 3), rng.uniform(-2, 2, 3)
+
+        def prob(a, tau):
+            return logistic(a[:, None] * theta + tau[:, None])
+
+        def score(a, tau):
+            return _score(prob(a, tau), n1, nt, theta)
+
+        h = 1e-6
+        da = [(x - y) / (2 * h) for x, y in zip(score(a + h, tau), score(a - h, tau))]
+        dt = [(x - y) / (2 * h) for x, y in zip(score(a, tau + h), score(a, tau - h))]
+        i_aa, i_at, i_tt = _information(prob(a, tau), nt, theta)
+        # d(g_a)/da, d(g_tau)/da = d(g_a)/dtau, d(g_tau)/dtau against -I
+        for fd, exact in ((da[0], i_aa), (da[1], i_at), (dt[0], i_at), (dt[1], i_tt)):
+            np.testing.assert_allclose(-fd, exact, rtol=1e-6)
+
     def test_stationary_input_unchanged(self):
         p = ItemParams(a=0.9, b=0.7)
         grid = normal_grid(4)
         nt = np.array([4.0, 20.0, 20.0, 4.0])
         n1 = nt * np.array([irf(p, t) for t in grid.nodes])
         cfg = NRConfig(model=ModelKind.TWO_PL)
-        updated, fellback, norms = _newton_item(p, n1, nt, grid, cfg, ModelKind.TWO_PL)
-        assert not fellback
-        assert updated.a == pytest.approx(p.a, abs=1e-9)
-        assert updated.b == pytest.approx(p.b, abs=1e-9)
-        assert norms[0] < cfg.inner_tol
+        assert score_norm(p, n1, nt, grid) < cfg.inner_tol
+        counts = ExpectedCounts(n1=n1[None, :], nt=nt)
+        (updated,) = nr_mstep([p], counts, grid, cfg, ModelKind.TWO_PL)
+        assert updated.a == pytest.approx(p.a, abs=1e-12)
+        assert updated.b == pytest.approx(p.b, abs=1e-12)
 
     def test_one_pl_inverts_the_logistic(self):
         # P must equal 0.731 at the single node, so b = -logit(0.731)
         cfg = NRConfig(model=ModelKind.ONE_PL)
-        updated, _, _ = _newton_item(
-            ItemParams(a=1, b=0),
-            np.array([7.31]),
-            np.array([10.0]),
-            single_node_grid(),
-            cfg,
-            ModelKind.ONE_PL,
+        counts = ExpectedCounts(n1=np.array([[7.31]]), nt=np.array([10.0]))
+        (updated,) = nr_mstep(
+            [ItemParams(a=1, b=0)], counts, single_node_grid(), cfg, ModelKind.ONE_PL
         )
         assert updated.a == 1.0
-        assert updated.b == pytest.approx(-math.log(0.731 / 0.269), abs=1e-6)
+        assert updated.b == pytest.approx(-math.log(0.731 / 0.269), abs=1e-9)
 
     def test_superlinear_score_decay(self):
+        """The score norm falls quadratically: |s_k+1| < |s_k|^2 here."""
         p_true = ItemParams(a=1.4, b=0.6)
         grid = normal_grid(5)
         nt = np.array([5.0, 40.0, 80.0, 40.0, 5.0])
         n1 = nt * np.array([irf(p_true, t) for t in grid.nodes])
-        cfg = NRConfig(model=ModelKind.TWO_PL, inner_tol=1e-10)
-        _, _, norms = _newton_item(
-            ItemParams(a=1, b=0), n1, nt, grid, cfg, ModelKind.TWO_PL
-        )
-        tail = [n for n in norms if n > 0]
-        ratios = [b / a for a, b in zip(tail, tail[1:]) if a < 1.0]
-        assert len(ratios) >= 2
-        assert ratios[-1] < 0.1 * ratios[0]
+        counts = ExpectedCounts(n1=n1[None, :], nt=nt)
+        norms = []
+        for steps in range(1, 6):
+            cfg = NRConfig(model=ModelKind.TWO_PL, inner_max_iter=steps, inner_tol=1e-12)
+            (p,) = nr_mstep([ItemParams(a=1, b=0)], counts, grid, cfg, ModelKind.TWO_PL)
+            norms.append(score_norm(p, n1, nt, grid))
+        tail = [n for n in norms if n > 1e-9]
+        assert len(tail) >= 3
+        ratios = [b / a**2 for a, b in zip(tail, tail[1:])]
+        assert max(ratios) < 1.0
+        assert norms[-1] < 1e-9
 
-    def test_flat_curvature_triggers_gradient_fallback(self, monkeypatch):
-        monkeypatch.setattr(em_nr, "_fd_hessian", lambda *args: np.zeros((2, 2)))
-        p = ItemParams(a=1.0, b=0.0)
-        grid = normal_grid(3)
-        nt = np.array([5.0, 10.0, 5.0])
-        n1 = nt * 0.9
-        cfg = NRConfig(model=ModelKind.TWO_PL, inner_max_iter=2)
-        _, fellback, _ = _newton_item(p, n1, nt, grid, cfg, ModelKind.TWO_PL)
-        assert fellback
+    @pytest.mark.parametrize("n_quads", [2, 3, 5, 8, 10])
+    def test_curvature_at_one_node_stays_finite_and_unchanged(self, n_quads):
+        """Mass at one node only leaves a singular Hessian: the item stays put.
 
-    def test_fallback_flag_reaches_the_result(self, monkeypatch):
-        monkeypatch.setattr(em_nr, "_fd_hessian", lambda *args: np.zeros((2, 2)))
-        grid = normal_grid(3)
-        counts = ExpectedCounts(
-            n1=np.array([[4.0, 8.0, 4.5]]), nt=np.array([5.0, 10.0, 5.0])
-        )
-        cfg = NRConfig(model=ModelKind.TWO_PL, inner_max_iter=2)
-        _, flags = nr_mstep([ItemParams(a=1, b=0)], counts, grid, cfg, ModelKind.TWO_PL)
-        assert flags == [True]
+        At some nodes the computed determinant rounds to a tiny positive
+        number; a step along the resulting near-null direction would leave
+        Q1 unchanged while moving (a, b) arbitrarily far.
+        """
+        grid = normal_grid(n_quads)
+        cfg = NRConfig(model=ModelKind.TWO_PL)
+        p = ItemParams(a=1.3, b=-0.4)
+        for node in range(n_quads):
+            for share, mass in itertools.product((0.1, 0.5, 0.9), (3.0, 10.0, 77.7)):
+                nt = np.zeros(n_quads)
+                nt[node] = mass
+                counts = ExpectedCounts(n1=share * nt[None, :], nt=nt)
+                (updated,) = nr_mstep([p], counts, grid, cfg, ModelKind.TWO_PL)
+                assert math.isfinite(updated.a) and math.isfinite(updated.b)
+                assert updated.a == pytest.approx(p.a, abs=1e-12)
+                assert updated.b == pytest.approx(p.b, abs=1e-12)
+
+    def test_items_are_solved_independently(self):
+        """Items in one call match the same items solved one at a time."""
+        rng = np.random.default_rng(5)
+        grid = normal_grid(4)
+        nt = rng.uniform(50, 400, 4)
+        n1 = nt * rng.uniform(0.1, 0.9, (3, 4))
+        counts = ExpectedCounts(n1=n1, nt=nt)
+        cfg = NRConfig(model=ModelKind.TWO_PL)
+        start = [ItemParams(a=1.0, b=0.0)] * 3
+        together = nr_mstep(start, counts, grid, cfg, ModelKind.TWO_PL)
+        for j in range(3):
+            alone = ExpectedCounts(n1=n1[j : j + 1], nt=nt)
+            (p,) = nr_mstep(start[:1], alone, grid, cfg, ModelKind.TWO_PL)
+            # products over a different number of rows may round differently
+            assert p.a == pytest.approx(together[j].a, rel=1e-12)
+            assert p.b == pytest.approx(together[j].b, rel=1e-12)
 
 
 class TestFitNr:
@@ -189,7 +229,7 @@ class TestFitNr:
         data = tabulate(generate(truth, 500, 2))
 
         def sabotage(params, counts, grid, cfg, model):
-            return [ItemParams(a=1.0, b=p.b + 3.0) for p in params], [False]
+            return [ItemParams(a=1.0, b=p.b + 3.0) for p in params]
 
         monkeypatch.setattr(em_nr, "nr_mstep", sabotage)
         with pytest.raises(em_nr.MonotonicityViolationError):

@@ -21,8 +21,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, em_nr, em_ols, simgen
-from .em_nr import NRConfig
+from . import __version__, em_ols, simgen
 from .em_ols import FitConfig, FitResult
 from .model import ItemParams, ModelKind
 from .patterns import IngestionError, load_response_csv, tabulate
@@ -176,20 +175,11 @@ def cmd_fit(args) -> int:
         return 1
 
     model = ModelKind(args.model)
-    estimators = _estimator_list(args.estimator)
-    blocks = []
-    for estimator in estimators:
-        if estimator == "ols":
-            cfg = FitConfig(
-                model=model, n_quads=args.n_quads, tol=args.tol, max_iter=args.max_iter
-            )
-            result = em_ols.fit(data, cfg)
-        else:
-            cfg = NRConfig(
-                model=model, n_quads=args.n_quads, tol=args.tol, max_iter=args.max_iter
-            )
-            result = em_nr.fit_nr(data, cfg)
-        blocks.append(_fit_block(result, model, estimator))
+    cfg = FitConfig(model=model, n_quads=args.n_quads, tol=args.tol, max_iter=args.max_iter)
+    blocks = [
+        _fit_block(simgen.fit_estimator(data, estimator, cfg), model, estimator)
+        for estimator in _estimator_list(args.estimator)
+    ]
 
     config = {
         "data": str(data_path),
@@ -332,18 +322,9 @@ def _summary_json(summary: StudySummary) -> dict:
     }
 
 
-def _validate_quads(t_list: tuple[int, ...], model: ModelKind) -> None:
-    for t in t_list:
-        if t < 1:
-            raise ValueError(f"quadrature point count must be >= 1, got {t}")
-        if model is ModelKind.TWO_PL and t < 2:
-            raise ValueError("the 2PL needs at least 2 quadrature points")
-
-
 def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
     started = _utcnow()
     model = ModelKind(args.model)
-    _validate_quads(t_list, model)
     truth = _resolve_truth(args, model)
     design = StudyDesign(
         true_params=truth,
@@ -400,11 +381,8 @@ def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = ModelKind(args.model)
-    n_quads = args.n_quads
-    if n_quads is None:
-        n_quads = 2 if model is ModelKind.ONE_PL else 4
-    return _run_study(args, "simulate", (n_quads,))
+    cfg = FitConfig(model=ModelKind(args.model), n_quads=args.n_quads)
+    return _run_study(args, "simulate", (cfg.resolved_quads,))
 
 
 def cmd_quadstudy(args) -> int:

@@ -17,7 +17,7 @@ from . import expectation
 from .expectation import ExpectedCounts
 from .model import A_MIN, ItemParams, ModelKind
 from .patterns import PatternData
-from .quadrature import QuadratureGrid, normal_grid
+from .quadrature import MAX_POINTS, QuadratureGrid, normal_grid
 
 # The latent log-odds are clamped to a range that scales with the span of
 # the node grid: |y| <= Y_CAP_BASE at the 4-node grid, proportionally wider
@@ -85,11 +85,11 @@ class FitConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if (
-            self.model is ModelKind.TWO_PL
-            and self.n_quads is not None
-            and self.n_quads < 2
-        ):
+        if self.n_quads is not None and not 1 <= self.n_quads <= MAX_POINTS:
+            raise ValueError(
+                f"quadrature point count must be in 1..{MAX_POINTS}, got {self.n_quads}"
+            )
+        if self.model is ModelKind.TWO_PL and self.resolved_quads < 2:
             raise ValueError("the 2PL needs at least 2 quadrature points")
 
     @property
@@ -200,13 +200,18 @@ def _run_em(
     """Generic EM loop shared by the OLS and Newton-Raphson M-steps.
 
     mstep(params, counts, grid) must return (new_params, per_item_flags);
-    enforce_ascent(ll_old, ll_new) may raise when the trace regresses.
+    enforce_ascent(ll_old, ll_new, iteration) may raise when the trace
+    regresses.  Each visited parameter set gets exactly one pattern
+    likelihood pass: posterior() returns the observed log-likelihood with
+    the posterior, so the pass after an M-step records that iteration's
+    log-likelihood and feeds the next E-step.
     """
     grid = normal_grid(cfg.resolved_quads)
     params = _start_params(data, cfg)
     flags: list[set[str]] = [set() for _ in params]
 
-    loglik_trace = [expectation.observed_loglik(data, params, grid)]
+    post, ll = expectation.posterior(data, params, grid)
+    loglik_trace = [ll]
     max_delta_trace: list[float] = []
     phi_max_trace: list[float] = []
     decreases = 0
@@ -214,7 +219,6 @@ def _run_em(
     iterations = 0
 
     for iteration in range(1, cfg.max_iter + 1):
-        post = expectation.posterior(data, params, grid)
         counts = expectation.expected_counts(data, post)
         if callback is not None:
             callback(iteration, params, post, counts)
@@ -229,7 +233,7 @@ def _run_em(
         delta = _max_param_delta(params, new_params)
         max_delta_trace.append(delta)
 
-        ll = expectation.observed_loglik(data, new_params, grid)
+        post, ll = expectation.posterior(data, new_params, grid)
         if ll < loglik_trace[-1] - 1e-8:
             decreases += 1
             if enforce_ascent is not None:

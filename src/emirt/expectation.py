@@ -1,4 +1,4 @@
-"""E-step quantities: pattern likelihoods, posteriors, expected counts.
+"""E-step quantities: posteriors, expected counts, log-likelihoods.
 
 All probability work happens in log space; probabilities are clamped to
 [EPS_P, 1 - EPS_P] before any log or division so that extreme nodes can
@@ -76,26 +76,24 @@ def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
     return (peak + np.log(np.exp(m - peak).sum(axis=1, keepdims=True))).ravel()
 
 
-def pattern_likelihoods(
-    data: PatternData, params: Sequence[ItemParams], grid: QuadratureGrid
-) -> np.ndarray:
-    """P(X | theta_t) by local independence, computed in log space."""
-    return np.exp(_pattern_logliks(data, params, grid))
-
-
 def posterior(
     data: PatternData, params: Sequence[ItemParams], grid: QuadratureGrid
-) -> np.ndarray:
-    """Posterior P(theta_t | X) over nodes, one row per pattern.
+) -> tuple[np.ndarray, float]:
+    """Posterior P(theta_t | X) over nodes and the observed log-likelihood.
 
-    Rows are normalized with log-sum-exp; each row sums to one.
+    Returns (post, loglik).  post has one row per pattern, normalized with
+    log-sum-exp so that each row sums to one.  The row normalizers are the
+    pattern log-likelihoods log sum_t P(X|theta_t) A_t, so their
+    frequency-weighted sum is the observed log-likelihood, bit-identical
+    to observed_loglik at the same parameters.  Raises
+    PosteriorUnderflowError when a pattern's likelihood underflows.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         log_joint = _pattern_logliks(data, params, grid) + np.log(grid.weights)[None, :]
         norm = _logsumexp_rows(log_joint)
     if not np.all(np.isfinite(norm)):
         raise PosteriorUnderflowError(int(np.argmin(np.isfinite(norm))))
-    return np.exp(log_joint - norm[:, None])
+    return np.exp(log_joint - norm[:, None]), float(data.freqs @ norm)
 
 
 def expected_counts(data: PatternData, post: np.ndarray) -> ExpectedCounts:
@@ -110,7 +108,11 @@ def expected_counts(data: PatternData, post: np.ndarray) -> ExpectedCounts:
 def observed_loglik(
     data: PatternData, params: Sequence[ItemParams], grid: QuadratureGrid
 ) -> float:
-    """Marginal log-likelihood sum_X N_X log sum_t P(X|theta_t) A_t."""
+    """Marginal log-likelihood sum_X N_X log sum_t P(X|theta_t) A_t.
+
+    The EM loop takes this value from posterior(); this function computes
+    it on its own and is the reference the fit traces are tested against.
+    """
     log_joint = _pattern_logliks(data, params, grid) + np.log(grid.weights)[None, :]
     return float(data.freqs @ _logsumexp_rows(log_joint))
 
@@ -138,10 +140,3 @@ def phi_residuals(
     n0 = counts.nt[None, :] - counts.n1
     return counts.n1 / prob - n0 / (1.0 - prob)
 
-
-def membership_estimate(counts: ExpectedCounts) -> np.ndarray:
-    """Estimated latent-class membership probabilities nt_l / sum_t nt_t."""
-    total = counts.nt.sum()
-    if total <= 0:
-        raise ValueError("expected counts sum to zero; nothing to normalize")
-    return counts.nt / total

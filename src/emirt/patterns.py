@@ -44,10 +44,6 @@ class PatternData:
     def n_patterns(self) -> int:
         return self.patterns.shape[0]
 
-    def to_matrix(self) -> np.ndarray:
-        """Expand back to one row per person (pattern order, not input order)."""
-        return np.repeat(self.patterns, self.freqs, axis=0)
-
 
 def tabulate(matrix) -> PatternData:
     """Collapse an N x I matrix of 0/1 responses into distinct patterns.
@@ -92,11 +88,6 @@ def tabulate(matrix) -> PatternData:
     counts = counts.astype(np.int64)
     counts.setflags(write=False)
     return PatternData(patterns=pats, freqs=counts)
-
-
-def item_totals(data: PatternData) -> np.ndarray:
-    """Number of correct responses per item, N1_j = sum_X N_X * X_j."""
-    return data.patterns.T.astype(np.int64) @ data.freqs
 
 
 def load_response_csv(path: str | Path) -> np.ndarray:

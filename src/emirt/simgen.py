@@ -48,6 +48,8 @@ class StudyDesign:
             raise ValueError(f"n_persons must be >= 1, got {self.n_persons}")
         if not self.t_list:
             raise ValueError("t_list must be nonempty")
+        for t in self.t_list:
+            FitConfig(model=self.model, n_quads=t)
         if not self.true_params:
             raise ValueError("true_params must be nonempty")
 
@@ -122,33 +124,24 @@ def generate(
     return (rng.random(prob.shape) < prob).astype(np.uint8)
 
 
-def is_outlier(p: ItemParams, model: ModelKind, degenerate: bool = False) -> bool:
-    """Whether an estimate falls outside the acceptable parameter ranges.
+def outlier_verdicts(
+    p: ItemParams, model: ModelKind, degenerate: bool = False
+) -> tuple[bool, bool]:
+    """Whether the discrimination and the difficulty of an estimate are outliers.
 
     Difficulties with |b| >= 5 are outliers for both models; the 2PL
     additionally rejects discriminations outside (0.1, 3).  A degenerate
-    OLS slope always counts.
+    OLS slope makes both parameters outliers.
     """
-    if degenerate:
-        return True
-    if abs(p.b) >= B_OUTLIER_LIMIT:
-        return True
-    if model is ModelKind.TWO_PL and (p.a <= A_OUTLIER_LOW or p.a >= A_OUTLIER_HIGH):
-        return True
-    return False
+    a_out = model is ModelKind.TWO_PL and (
+        p.a <= A_OUTLIER_LOW or p.a >= A_OUTLIER_HIGH
+    )
+    return degenerate or a_out, degenerate or abs(p.b) >= B_OUTLIER_LIMIT
 
 
-def filter_outliers(
-    estimates: Sequence[ItemParams],
-    model: ModelKind,
-    degenerate: Sequence[bool] | None = None,
-) -> list[ItemParams]:
-    """Keep only the non-outlier estimates (idempotent)."""
-    if degenerate is None:
-        degenerate = [False] * len(estimates)
-    return [
-        p for p, d in zip(estimates, degenerate) if not is_outlier(p, model, d)
-    ]
+def is_outlier(p: ItemParams, model: ModelKind, degenerate: bool = False) -> bool:
+    """Whether either parameter of an estimate is an outlier."""
+    return any(outlier_verdicts(p, model, degenerate))
 
 
 def resolve_workers(flag: int | None = None) -> int:
@@ -161,13 +154,16 @@ def resolve_workers(flag: int | None = None) -> int:
     return 1
 
 
-def _fit_once(data, estimator: str, n_quads: int, model: ModelKind):
+def fit_estimator(data, estimator: str, cfg: FitConfig):
+    """Fit data with the named estimator ("ols" or "nr") under cfg's settings.
+
+    An NR fit copies cfg's fields into an NRConfig, so inner Newton
+    controls that cfg lacks keep their defaults.
+    """
     if estimator == "ols":
-        cfg = FitConfig(model=model, n_quads=n_quads)
         return em_ols.fit(data, cfg)
     if estimator == "nr":
-        cfg = NRConfig(model=model, n_quads=n_quads)
-        return em_nr.fit_nr(data, cfg)
+        return em_nr.fit_nr(data, NRConfig(**vars(cfg)))
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -180,7 +176,8 @@ def _run_replication(args) -> list[_FitRecord]:
         for n_quads in design.t_list:
             start = time.perf_counter()
             try:
-                result = _fit_once(data, estimator, n_quads, design.model)
+                cfg = FitConfig(model=design.model, n_quads=n_quads)
+                result = fit_estimator(data, estimator, cfg)
             except Exception as exc:  # per-fit failures never abort the study
                 wall = (time.perf_counter() - start) * 1e3
                 records.append(
@@ -252,9 +249,9 @@ def _aggregate(
             for j, truth in enumerate(design.true_params):
                 a_vals = np.array([r.a_hat[j] for r in cell])
                 b_vals = np.array([r.b_hat[j] for r in cell])
-                out_mask = np.array(
+                out_a, out_b = np.array(
                     [
-                        is_outlier(
+                        outlier_verdicts(
                             ItemParams(a=r.a_hat[j], b=r.b_hat[j]),
                             design.model,
                             r.degenerate[j],
@@ -262,20 +259,8 @@ def _aggregate(
                         for r in cell
                     ],
                     dtype=bool,
-                )
-                out_a = np.array(
-                    [
-                        r.degenerate[j]
-                        or r.a_hat[j] <= A_OUTLIER_LOW
-                        or r.a_hat[j] >= A_OUTLIER_HIGH
-                        for r in cell
-                    ],
-                    dtype=bool,
-                )
-                out_b = np.array(
-                    [r.degenerate[j] or abs(r.b_hat[j]) >= B_OUTLIER_LIMIT for r in cell],
-                    dtype=bool,
-                )
+                ).reshape(-1, 2).T
+                out_mask = out_a | out_b
                 kept_a = a_vals[~out_mask]
                 kept_b = b_vals[~out_mask]
                 rows.append(

@@ -155,8 +155,26 @@ class TestSimulate:
         assert code == 1
         assert "quadrature" in capsys.readouterr().err
 
+    def test_too_many_nodes_exit_one_without_output(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--model", "1pl", "--n-quads", "51", "--reps", "1",
+             "--out", str(tmp_path / "out" / "s")]
+        )
+        assert code == 1
+        assert "quadrature point count" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestQuadstudy:
+    def test_too_many_nodes_exit_one_without_output(self, tmp_path, capsys):
+        code = main(
+            ["quadstudy", "--model", "2pl", "--quads", "4,51", "--reps", "1",
+             "--out", str(tmp_path / "out" / "s")]
+        )
+        assert code == 1
+        assert "quadrature point count" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_single_t_matches_simulate(self, tmp_path):
         common = ["--model", "1pl", "--reps", "2", "--n-persons", "300", "--seed", "9"]
         main(["simulate", *common, "--n-quads", "2", "--out", str(tmp_path / "sim")])

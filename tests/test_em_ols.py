@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from emirt import expectation
+from emirt.em_nr import NRConfig, fit_nr
 from emirt.em_ols import (
     DEGENERATE_SLOPE,
     B_CAP,
@@ -15,7 +17,7 @@ from emirt.em_ols import (
     log_odds_cap,
     ols_mstep,
 )
-from emirt.expectation import ExpectedCounts, expected_counts, posterior
+from emirt.expectation import ExpectedCounts, expected_counts
 from emirt.model import ItemParams, ModelKind, irf
 from emirt.patterns import tabulate
 from emirt.quadrature import QuadratureGrid, normal_grid
@@ -226,6 +228,54 @@ class TestFit:
         assert seen == list(range(1, result.iterations + 1))
 
 
+ESTIMATORS = {"ols": (fit, FitConfig), "nr": (fit_nr, NRConfig)}
+
+
+class TestLoglikReuse:
+    """The trace's log-likelihoods come from the E-step's normaliser."""
+
+    @pytest.mark.parametrize("model", [ModelKind.ONE_PL, ModelKind.TWO_PL])
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_trace_equals_observed_loglik_at_every_visited_set(self, estimator, model):
+        truth = [ItemParams(a=0.7, b=-1.2), ItemParams(a=1.3, b=0.2), ItemParams(a=1.8, b=1.0)]
+        data = tabulate(generate(truth, 900, 31))
+        fitter, config = ESTIMATORS[estimator]
+        cfg = config(model=model, n_quads=5)
+        visited = []
+
+        def record(iteration, params, post, counts):
+            visited.append(params)
+
+        result = fitter(data, cfg, callback=record)
+        visited.append(result.params)
+        assert result.iterations > 2
+        assert len(visited) == len(result.loglik_trace)
+        grid = normal_grid(cfg.resolved_quads)
+        for ll, params in zip(result.loglik_trace, visited):
+            assert ll == expectation.observed_loglik(data, params, grid)
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_one_posterior_per_visited_set(self, estimator, monkeypatch):
+        calls = {"posterior": 0, "observed_loglik": 0}
+
+        def counted(name):
+            original = getattr(expectation, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(expectation, name, counted(name))
+        truth = [ItemParams(a=1.0, b=-0.5), ItemParams(a=1.0, b=0.8)]
+        data = tabulate(generate(truth, 600, 8))
+        fitter, config = ESTIMATORS[estimator]
+        result = fitter(data, config(model=ModelKind.ONE_PL))
+        assert calls == {"posterior": result.iterations + 1, "observed_loglik": 0}
+
+
 class TestFitConfigValidation:
     def test_rejects_bad_max_iter(self):
         with pytest.raises(ValueError):
@@ -238,3 +288,13 @@ class TestFitConfigValidation:
     def test_rejects_single_node_two_pl(self):
         with pytest.raises(ValueError):
             FitConfig(model=ModelKind.TWO_PL, n_quads=1)
+
+    @pytest.mark.parametrize("model", [ModelKind.ONE_PL, ModelKind.TWO_PL])
+    @pytest.mark.parametrize("n_quads", [0, 51])
+    def test_rejects_node_count_out_of_range(self, model, n_quads):
+        with pytest.raises(ValueError, match="quadrature point count"):
+            FitConfig(model=model, n_quads=n_quads)
+
+    def test_accepts_the_node_count_range(self):
+        assert FitConfig(model=ModelKind.ONE_PL, n_quads=1).resolved_quads == 1
+        assert FitConfig(model=ModelKind.TWO_PL, n_quads=50).resolved_quads == 50

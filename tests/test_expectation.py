@@ -8,9 +8,7 @@ from emirt.expectation import (
     ExpectedCounts,
     PosteriorUnderflowError,
     expected_counts,
-    membership_estimate,
     observed_loglik,
-    pattern_likelihoods,
     phi_residuals,
     posterior,
     q1,
@@ -38,45 +36,50 @@ def random_instance(seed, max_items=4, max_nodes=5):
     return params, matrix, grid
 
 
+def one_node_grid(node):
+    """All prior mass at one node, so the log-likelihood is log P(X | node)."""
+    return QuadratureGrid(nodes=np.array([node]), weights=np.array([1.0]))
+
+
 class TestPatternLikelihoods:
     def test_single_item_at_zero(self):
         data = tabulate([[1]])
-        like = pattern_likelihoods(data, [ItemParams(a=1, b=0)], normal_grid(1))
-        np.testing.assert_allclose(like, [[0.5]], rtol=1e-14)
+        _, ll = posterior(data, [ItemParams(a=1, b=0)], normal_grid(1))
+        np.testing.assert_allclose(ll, math.log(0.5), rtol=1e-14)
 
     def test_independent_items_at_their_difficulty(self):
         with pytest.warns(UserWarning):
             data = tabulate([[1, 1]])
-        like = pattern_likelihoods(
+        _, ll = posterior(
             data, [ItemParams(a=1.3, b=0), ItemParams(a=0.7, b=0)], normal_grid(1)
         )
-        np.testing.assert_allclose(like, [[0.25]], rtol=1e-12)
+        np.testing.assert_allclose(ll, math.log(0.25), rtol=1e-12)
 
     def test_single_item_at_one(self):
         data = tabulate([[1]])
-        like = pattern_likelihoods(data, [ItemParams(a=1, b=0)], two_point_grid())
-        np.testing.assert_allclose(like[0, 1], SIG1, rtol=1e-12)
+        _, ll = posterior(data, [ItemParams(a=1, b=0)], one_node_grid(1.0))
+        np.testing.assert_allclose(ll, math.log(SIG1), rtol=1e-12)
 
     def test_wrong_param_count(self):
         data = tabulate([[1, 0]])
         with pytest.raises(ValueError):
-            pattern_likelihoods(data, [ItemParams(a=1, b=0)], normal_grid(2))
+            posterior(data, [ItemParams(a=1, b=0)], normal_grid(2))
 
 
 class TestPosterior:
     def test_two_node_example(self):
         data = tabulate([[1]])
-        post = posterior(data, [ItemParams(a=1, b=0)], two_point_grid())
+        post, _ = posterior(data, [ItemParams(a=1, b=0)], two_point_grid())
         np.testing.assert_allclose(post, [[1 - SIG1, SIG1]], rtol=1e-10)
 
     def test_mirrored_pattern(self):
         data = tabulate([[0]])
-        post = posterior(data, [ItemParams(a=1, b=0)], two_point_grid())
+        post, _ = posterior(data, [ItemParams(a=1, b=0)], two_point_grid())
         np.testing.assert_allclose(post, [[SIG1, 1 - SIG1]], rtol=1e-10)
 
     def test_single_node_is_certain(self):
         data = tabulate([[1, 0], [0, 1]])
-        post = posterior(
+        post, _ = posterior(
             data, [ItemParams(a=1, b=0), ItemParams(a=1, b=1)], normal_grid(1)
         )
         np.testing.assert_allclose(post, np.ones((2, 1)))
@@ -85,9 +88,16 @@ class TestPosterior:
     def test_rows_sum_to_one(self, seed):
         params, matrix, grid = random_instance(seed)
         data = tabulate(matrix)
-        post = posterior(data, params, grid)
+        post, _ = posterior(data, params, grid)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-10)
         assert ((post >= 0) & (post <= 1)).all()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_loglik_is_the_observed_loglik(self, seed):
+        params, matrix, grid = random_instance(seed)
+        data = tabulate(matrix)
+        _, ll = posterior(data, params, grid)
+        assert ll == observed_loglik(data, params, grid)
 
     def test_underflow_is_reported(self):
         data = tabulate([[1]])
@@ -112,7 +122,7 @@ class TestExpectedCounts:
 
     def test_composes_with_posterior(self):
         data = tabulate([[1]])
-        post = posterior(data, [ItemParams(a=1, b=0)], two_point_grid())
+        post, _ = posterior(data, [ItemParams(a=1, b=0)], two_point_grid())
         counts = expected_counts(data, post)
         np.testing.assert_allclose(counts.n1, [[1 - SIG1, SIG1]], rtol=1e-10)
 
@@ -120,7 +130,7 @@ class TestExpectedCounts:
     def test_conservation(self, seed):
         params, matrix, grid = random_instance(seed)
         data = tabulate(matrix)
-        counts = expected_counts(data, posterior(data, params, grid))
+        counts = expected_counts(data, posterior(data, params, grid)[0])
         np.testing.assert_allclose(counts.nt.sum(), data.n_persons, atol=1e-8)
         np.testing.assert_allclose(
             counts.n1.sum(axis=1),
@@ -203,21 +213,3 @@ class TestPhiResiduals:
         phi = phi_residuals([ItemParams(a=1, b=0)], counts, normal_grid(1))
         np.testing.assert_allclose(phi, [[-10.0]], rtol=1e-12)
 
-
-class TestMembershipEstimate:
-    @pytest.mark.parametrize(
-        "nt,expected",
-        [
-            ([5.0, 5.0], [0.5, 0.5]),
-            ([2.5, 7.5], [0.25, 0.75]),
-            ([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4]),
-        ],
-    )
-    def test_normalizes(self, nt, expected):
-        counts = ExpectedCounts(n1=np.zeros((1, len(nt))), nt=np.array(nt))
-        np.testing.assert_allclose(membership_estimate(counts), expected, rtol=1e-14)
-
-    def test_rejects_empty_mass(self):
-        counts = ExpectedCounts(n1=np.zeros((1, 2)), nt=np.zeros(2))
-        with pytest.raises(ValueError):
-            membership_estimate(counts)

@@ -2,7 +2,10 @@
 import numpy as np
 import pytest
 
-from emirt.patterns import IngestionError, item_totals, load_response_csv, tabulate
+from emirt.expectation import expected_counts, posterior
+from emirt.model import ItemParams
+from emirt.patterns import IngestionError, load_response_csv, tabulate
+from emirt.quadrature import normal_grid
 
 
 class TestTabulate:
@@ -38,7 +41,7 @@ class TestTabulate:
         rng = np.random.default_rng(seed)
         matrix = rng.integers(0, 2, size=(rng.integers(1, 200), rng.integers(1, 10)))
         data = tabulate(matrix)
-        rebuilt = data.to_matrix()
+        rebuilt = np.repeat(data.patterns, data.freqs, axis=0)
         original = np.array(sorted(map(tuple, matrix)))
         np.testing.assert_array_equal(np.array(sorted(map(tuple, rebuilt))), original)
         assert data.freqs.sum() == len(matrix)
@@ -62,27 +65,35 @@ class TestTabulate:
             tabulate([[0, 1], [1, 1]])
 
 
+def estep_item_totals(data):
+    """N1_j from the E-step: at one node every posterior row is 1, so the
+    expected correct count of item j is its number of correct responses."""
+    params = [ItemParams(a=1.0, b=0.0)] * data.n_items
+    post, _ = posterior(data, params, normal_grid(1))
+    return expected_counts(data, post).n1[:, 0]
+
+
 class TestItemTotals:
     def test_small_example(self):
         data = tabulate([[1, 0], [1, 0], [0, 1]])
-        np.testing.assert_array_equal(item_totals(data), [2, 1])
+        np.testing.assert_array_equal(estep_item_totals(data), [2, 1])
 
     def test_all_zero(self):
         with pytest.warns(UserWarning):
             data = tabulate([[0, 0], [0, 0]])
-        np.testing.assert_array_equal(item_totals(data), [0, 0])
+        np.testing.assert_array_equal(estep_item_totals(data), [0, 0])
 
     def test_all_one(self):
         with pytest.warns(UserWarning):
             data = tabulate(np.ones((5, 3), dtype=int))
-        np.testing.assert_array_equal(item_totals(data), [5, 5, 5])
+        np.testing.assert_array_equal(estep_item_totals(data), [5, 5, 5])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_column_sums(self, seed):
         rng = np.random.default_rng(100 + seed)
         matrix = rng.integers(0, 2, size=(rng.integers(1, 200), rng.integers(1, 10)))
         data = tabulate(matrix)
-        np.testing.assert_array_equal(item_totals(data), matrix.sum(axis=0))
+        np.testing.assert_array_equal(estep_item_totals(data), matrix.sum(axis=0))
 
 
 class TestLoadResponseCsv:

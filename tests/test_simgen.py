@@ -8,9 +8,9 @@ from emirt.simgen import (
     DEFAULT_TRUE_A,
     DEFAULT_TRUE_B,
     StudyDesign,
-    filter_outliers,
     generate,
     is_outlier,
+    outlier_verdicts,
     quad_study,
     replicate_study,
     resolve_workers,
@@ -63,17 +63,14 @@ class TestIsOutlier:
     def test_degenerate_flag_dominates(self):
         assert is_outlier(ItemParams(a=1, b=0), ModelKind.TWO_PL, degenerate=True)
 
-    def test_filter_is_idempotent(self):
-        estimates = [
-            ItemParams(a=1, b=0),
-            ItemParams(a=4, b=0),
-            ItemParams(a=1, b=-6),
-            ItemParams(a=1.2, b=2),
-        ]
-        once = filter_outliers(estimates, ModelKind.TWO_PL)
-        twice = filter_outliers(once, ModelKind.TWO_PL)
-        assert once == twice
-        assert len(once) == 2
+    def test_verdicts_per_parameter(self):
+        two_pl = ModelKind.TWO_PL
+        assert outlier_verdicts(ItemParams(a=1, b=0), two_pl) == (False, False)
+        assert outlier_verdicts(ItemParams(a=4, b=0), two_pl) == (True, False)
+        assert outlier_verdicts(ItemParams(a=1, b=-6), two_pl) == (False, True)
+        assert outlier_verdicts(ItemParams(a=4, b=6), two_pl) == (True, True)
+        assert outlier_verdicts(ItemParams(a=1, b=0), two_pl, degenerate=True) == (True, True)
+        assert outlier_verdicts(ItemParams(a=4, b=0), ModelKind.ONE_PL) == (False, False)
 
 
 class TestResolveWorkers:
@@ -163,10 +160,10 @@ class TestReplicateStudy:
     def test_failures_counted_not_fatal(self, monkeypatch):
         from emirt import simgen
 
-        def broken_fit(data, estimator, n_quads, model):
+        def broken_fit(data, estimator, cfg):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(simgen, "_fit_once", broken_fit)
+        monkeypatch.setattr(simgen, "fit_estimator", broken_fit)
         summary = replicate_study(small_design())
         assert summary.failures == 4
         assert all(row.reps == 0 for row in summary.rows)
@@ -210,6 +207,15 @@ class TestStudyDesignValidation:
     def test_rejects_empty_t_list(self):
         with pytest.raises(ValueError):
             small_design(t_list=())
+
+    @pytest.mark.parametrize("t", [0, 51])
+    def test_rejects_node_count_out_of_range(self, t):
+        with pytest.raises(ValueError, match="quadrature point count"):
+            small_design(t_list=(2, t))
+
+    def test_rejects_single_node_two_pl(self):
+        with pytest.raises(ValueError, match="2PL"):
+            small_design(model=ModelKind.TWO_PL, t_list=(1,))
 
     def test_default_grids_have_five_items(self):
         assert len(DEFAULT_TRUE_A) == len(DEFAULT_TRUE_B) == 5

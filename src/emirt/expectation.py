@@ -67,7 +67,7 @@ def _pattern_logliks(
     prob = response_prob_matrix(params, grid)
     log_p = np.log(prob)
     log_q = np.log1p(-prob)
-    x = data.patterns.astype(np.float64)
+    x = data.float_patterns
     return x @ log_p + (1.0 - x) @ log_q
 
 
@@ -100,7 +100,7 @@ def expected_counts(data: PatternData, post: np.ndarray) -> ExpectedCounts:
     """Expected per-node counts N1_jt and N_t from a posterior table."""
     freqs = data.freqs.astype(np.float64)
     nt = freqs @ post
-    weighted = data.patterns.T.astype(np.float64) * freqs[None, :]
+    weighted = data.float_patterns.T * freqs[None, :]
     n1 = weighted @ post
     return ExpectedCounts(n1=n1, nt=nt)
 

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,17 @@ class PatternData:
     def n_patterns(self) -> int:
         return self.patterns.shape[0]
 
+    @cached_property
+    def float_patterns(self) -> np.ndarray:
+        """The pattern table as a read-only float64 array, built once.
+
+        The E-step multiplies it into every iteration's products, and the
+        table never changes during a fit.
+        """
+        x = self.patterns.astype(np.float64)
+        x.setflags(write=False)
+        return x
+
 
 def tabulate(matrix) -> PatternData:
     """Collapse an N x I matrix of 0/1 responses into distinct patterns.
@@ -83,7 +96,12 @@ def tabulate(matrix) -> PatternData:
                 stacklevel=2,
             )
 
-    pats, counts = np.unique(arr, axis=0, return_counts=True)
+    # Each row packs into ceil(I/8) bytes, first item in the high bit, so
+    # comparing the packed rows as byte strings orders them lexicographically.
+    packed = np.packbits(arr, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    pats = arr[first]
     pats.setflags(write=False)
     counts = counts.astype(np.int64)
     counts.setflags(write=False)
@@ -94,11 +112,53 @@ def load_response_csv(path: str | Path) -> np.ndarray:
     """Read a response CSV: one person per row, comma-separated 0/1 values.
 
     An optional header row is detected by the presence of any token that is
-    not 0 or 1.  Accepts LF or CRLF line endings.
+    not 0 or 1.  Accepts LF or CRLF line endings.  A strict file (0/1
+    values, bare commas, LF line ends, final newline) is parsed as one
+    byte array; any other file goes to the csv-module parser, which owns
+    every IngestionError.
     """
+    raw = Path(path).read_bytes()
+    matrix = _parse_strict(raw)
+    return matrix if matrix is not None else _parse_csv(raw, path)
+
+
+def _parse_strict(raw: bytes) -> np.ndarray | None:
+    """The response matrix of a strict file, or None for any other file.
+
+    The first line is skipped under the header rule of _parse_csv.  Without
+    quotes or carriage returns in it, splitting on commas gives the tokens
+    csv.reader would, so both parsers skip the same line.  Every remaining
+    row must read "d,d,...,d\n" with d in {0, 1}, which both parsers read
+    as the same values.
+    """
+    head_end = raw.find(b"\n")
+    if head_end < 0:
+        return None
+    try:
+        head = raw[:head_end].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if '"' in head or "\r" in head:
+        return None
+    header = any(tok.strip() not in ("0", "1") for tok in head.split(","))
+    start = head_end + 1 if header else 0
+    width = raw.find(b"\n", start) + 1 - start  # two bytes per value
+    if width <= 0 or width % 2 or (len(raw) - start) % width:
+        return None
+    cells = np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(-1, width)
+    values = cells[:, 0::2] - np.uint8(ord("0"))
+    separators = np.full(width // 2, ord(","), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    if (values > 1).any() or (cells[:, 1::2] != separators).any():
+        return None
+    return values
+
+
+def _parse_csv(raw: bytes, path: str | Path) -> np.ndarray:
+    """Parse any response CSV with the csv module, locating malformed cells."""
     rows: list[list[int]] = []
     width: int | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, record in enumerate(reader, start=1):
             if not record or all(tok.strip() == "" for tok in record):

@@ -37,6 +37,18 @@ class TestFit:
         assert len(payload["trace"]["loglik"]) == payload["iterations"] + 1
         assert len(payload["trace"]["max_delta"]) == payload["iterations"]
 
+    def test_more_than_62_items(self, tmp_path):
+        truth = [ItemParams(a=1, b=b) for b in np.linspace(-1.5, 1.5, 70)]
+        path = tmp_path / "wide.csv"
+        header = ",".join(f"item{j + 1}" for j in range(70))
+        np.savetxt(path, generate(truth, 800, 5), fmt="%d", delimiter=",", header=header, comments="")
+        out = tmp_path / "fit.json"
+        code = main(["fit", str(path), "--model", "1pl", "--n-quads", "5", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"] is True
+        assert len(payload["items"]) == 70
+
     def test_both_estimators_report_disagreement(self, response_csv, tmp_path):
         out = tmp_path / "fit.json"
         code = main(

@@ -1,7 +1,10 @@
 """Tests for response-pattern tabulation and CSV ingestion."""
+import csv
+
 import numpy as np
 import pytest
 
+from emirt import patterns
 from emirt.expectation import expected_counts, posterior
 from emirt.model import ItemParams
 from emirt.patterns import IngestionError, load_response_csv, tabulate
@@ -63,6 +66,26 @@ class TestTabulate:
     def test_warns_on_constant_item(self):
         with pytest.warns(UserWarning, match="item 2"):
             tabulate([[0, 1], [1, 1]])
+
+    @pytest.mark.parametrize("n_items", [1, 7, 8, 9, 62, 63, 64, 70, 200])
+    def test_matches_row_unique_at_byte_boundaries(self, n_items):
+        """Packed rows span ceil(I/8) bytes; the table must not depend on it."""
+        rng = np.random.default_rng(n_items)
+        matrix = rng.integers(0, 2, size=(400, n_items), dtype=np.uint8)
+        matrix = np.vstack([matrix, matrix[:150], matrix[:1] ^ 1])
+        data = tabulate(matrix)
+        want, counts = np.unique(matrix, axis=0, return_counts=True)
+        np.testing.assert_array_equal(data.patterns, want)
+        np.testing.assert_array_equal(data.freqs, counts)
+        assert data.patterns.dtype == np.uint8 and data.freqs.dtype == np.int64
+        assert not data.patterns.flags.writeable and not data.freqs.flags.writeable
+
+    def test_float_patterns_cached_read_only(self):
+        data = tabulate([[1, 0], [1, 0], [0, 1]])
+        x = data.float_patterns
+        assert x is data.float_patterns
+        assert x.dtype == np.float64 and not x.flags.writeable
+        np.testing.assert_array_equal(x, data.patterns)
 
 
 def estep_item_totals(data):
@@ -138,3 +161,58 @@ class TestLoadResponseCsv:
         path.write_text("a,b,c\n")
         with pytest.raises(IngestionError):
             load_response_csv(path)
+
+
+LOADER_INPUTS = {
+    "strict": b"1,0,1\n0,0,1\n",
+    "strict_header": b"item1,item2\n1,0\n0,1\n",
+    "crlf": b"1,0\r\n0,1\r\n",
+    "crlf_header": b"a,b\r\n1,0\r\n",
+    "spaces": b"1, 0\n0 ,1\n",
+    "blank_lines": b"1,0\n\n0,1\n\n",
+    "ragged_row": b"1,0\n1\n",
+    "bad_token": b"1,0\n1,7\n",
+    "no_final_newline": b"1,0\n0,1",
+    "quoted_header": b'"item,1","item2"\n1,0\n',
+    "quoted_first_row": b'"1","0"\n1,0\n',
+    "carriage_return_in_first_line": b"a\r1,0\n0,1\n",
+    "utf8_bom": b"\xef\xbb\xbf1,0\n0,1\n",
+    "utf8_bom_header": b"\xef\xbb\xbfa,b\n0,1\n",
+    "non_utf8_byte": b"a,b\n1,0\n0,\xff\n",
+    "header_only": b"a,b,c\n",
+    "empty": b"",
+    "one_item": b"1\n0\n1\n",
+    "one_item_header": b"x\n1\n0\n",
+    "blank_first_line": b"\n1,0\n0,1\n",
+    "header_on_line_two": b"\nx,y\n1,0\n",
+}
+
+
+def _outcome(parse, path):
+    try:
+        matrix = parse(path)
+        return (matrix.dtype, matrix.flags.writeable, matrix.tolist())
+    except IngestionError as exc:
+        return (str(exc), exc.row, exc.col)
+    except UnicodeDecodeError as exc:
+        return (type(exc).__name__, exc.start, exc.reason)
+
+
+class TestLoaderDifferential:
+    @pytest.mark.parametrize("name", sorted(LOADER_INPUTS))
+    def test_same_result_as_csv_parser(self, tmp_path, name):
+        """The loader returns what the csv-module parser returns, or raises
+        what it raises, whichever parser reads the file."""
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(LOADER_INPUTS[name])
+        want = _outcome(lambda p: patterns._parse_csv(p.read_bytes(), p), path)
+        assert _outcome(load_response_csv, path) == want
+
+    def test_strict_file_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a strict file")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"i1,i2,i3\n1,0,1\n0,0,1\n")
+        np.testing.assert_array_equal(load_response_csv(path), [[1, 0, 1], [0, 0, 1]])

@@ -1,4 +1,6 @@
 """Tests for data generation and the replication harness."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,8 @@ class TestReplicateStudy:
         serial = replicate_study(design, workers=1)
         parallel = replicate_study(design, workers=2)
         assert serial.rows == parallel.rows
+        # Everything but the wall-clock timing must match.
+        assert replace(serial, timing=()) == replace(parallel, timing=())
 
     def test_both_estimators_and_t_sweep_keys(self):
         design = small_design(reps=2, t_list=(2, 3))

@@ -12,13 +12,12 @@ iteration on all items at once; no finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import expectation
 from .em_ols import FitConfig, FitResult, IterationCallback, _run_em
-from .expectation import EPS_P, ExpectedCounts
+from .expectation import ExpectedCounts
 from .model import ItemParams, ModelKind
 from .patterns import PatternData
 from .quadrature import QuadratureGrid
@@ -84,35 +83,36 @@ def item_score(
         s_a = sum_t (theta_t - b) * r_t
         s_b = -a * sum_t r_t
     """
-    prob = expectation.response_prob_matrix([p], grid)
+    prob = expectation.response_prob_matrix(np.array([p.a]), np.array([p.b]), grid)
     g_a, g_tau = _score(prob, n1_j[None, :], nt, grid.nodes)
     return float(g_a[0] - p.b * g_tau[0]), float(-p.a * g_tau[0])
 
 
 def nr_mstep(
-    params: Sequence[ItemParams],
+    a: np.ndarray,
+    b: np.ndarray,
     counts: ExpectedCounts,
     grid: QuadratureGrid,
     cfg: NRConfig,
     model: ModelKind,
-) -> list[ItemParams]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Newton-Raphson (IRLS) maximization of every item's Q1 in (a, tau).
 
-    The 1PL keeps a fixed and updates tau alone.  A step that lowers an
-    item's Q1 by more than the rounding noise of Q1 itself is halved, up to
-    cfg.step_halving_max times.  An item stops when its (a, b) score norm
-    falls below cfg.inner_tol, when no halved step is accepted, or when its
-    Hessian is singular (curvature underflowed at saturated nodes).
+    Takes and returns (J,) arrays a and b.  The 1PL keeps a fixed and
+    updates tau alone.  A step that lowers an item's Q1 by more than the
+    rounding noise of Q1 itself is halved, up to cfg.step_halving_max
+    times.  An item stops when its (a, b) score norm falls below
+    cfg.inner_tol, when no halved step is accepted, or when its Hessian is
+    singular (curvature underflowed at saturated nodes).
     """
     theta, n1, nt = grid.nodes, counts.n1, counts.nt
     n0 = nt[None, :] - n1
     two_pl = model is ModelKind.TWO_PL
-    a = np.array([p.a for p in params])
-    tau = np.array([p.tau for p in params])
+    tau = -a * b
 
     def prob_at(a, tau):
         z = a[:, None] * theta[None, :] + tau[:, None]
-        return np.clip(expectation.logistic(z), EPS_P, 1.0 - EPS_P)
+        return expectation.clamp_prob(expectation.logistic(z))
 
     def item_q1(prob):
         return (n1 * np.log(prob) + n0 * np.log1p(-prob)).sum(axis=1)
@@ -160,7 +160,7 @@ def nr_mstep(
                 step *= 0.5
             active &= ~pending  # stalled at numerical stationarity
 
-    return [ItemParams(a=a_j, b=-t_j / a_j) for a_j, t_j in zip(a, tau)]
+    return a, -tau / a
 
 
 def fit_nr(
@@ -173,8 +173,11 @@ def fit_nr(
     violation means the step-halving safeguard failed and raises.
     """
 
-    def mstep(params, counts, grid):
-        return nr_mstep(params, counts, grid, cfg, cfg.model), [set() for _ in params]
+    def make_mstep(grid):
+        def mstep(a, b, counts):
+            return (*nr_mstep(a, b, counts, grid, cfg, cfg.model), False)  # no item flags
+
+        return mstep
 
     def enforce_ascent(ll_old, ll_new, iteration):
         raise MonotonicityViolationError(
@@ -182,4 +185,4 @@ def fit_nr(
             f"at iteration {iteration}"
         )
 
-    return _run_em(data, cfg, mstep, enforce_ascent=enforce_ascent, callback=callback)
+    return _run_em(data, cfg, make_mstep, enforce_ascent=enforce_ascent, callback=callback)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +45,8 @@ B_CAP = 1e3
 
 DEGENERATE_SLOPE = "degenerate_slope"
 
-# Iteration callback: (iteration, params, posterior, counts) -> None
+# Iteration callback: (iteration, params, posterior, counts) -> None.  The EM
+# core works on (a, b) arrays and builds the ItemParams list only for it.
 IterationCallback = Callable[[int, list[ItemParams], np.ndarray, ExpectedCounts], None]
 
 
@@ -101,7 +102,7 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Outcome of an EM fit.
+    """Outcome of an EM fit; params are the EM core's final (a, b) arrays as ItemParams.
 
     loglik_trace has one entry per visited parameter set (iterations + 1);
     max_delta_trace and phi_max_trace have one entry per iteration.
@@ -126,39 +127,37 @@ class FitResult:
         return self.phi_max_trace[-1] if self.phi_max_trace else math.nan
 
 
-def latent_responses(
-    counts: ExpectedCounts, eps: float | None = None
-) -> LatentResponseTable:
+def latent_responses(counts: ExpectedCounts, eps: float = EPS_Y) -> LatentResponseTable:
     """Log-odds y_jt = logit(N1_jt / N_t) with the proportion clamp applied."""
-    if eps is None:
-        eps = EPS_Y
-    if np.any(counts.nt <= 0):
+    if (counts.nt <= 0).any():
         raise DegenerateNodeError(int(np.argmax(counts.nt <= 0)))
     prop = counts.n1 / counts.nt[None, :]
     clamped = (prop < eps) | (prop > 1.0 - eps)
-    prop = np.clip(prop, eps, 1.0 - eps)
+    prop = np.minimum(np.maximum(prop, eps), 1.0 - eps)  # np.clip, without its dispatch
     return LatentResponseTable(y=np.log(prop / (1.0 - prop)), clamped=clamped)
 
 
 def ols_mstep(
     table: LatentResponseTable, grid: QuadratureGrid, model: ModelKind
-) -> tuple[list[ItemParams], list[bool]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form regression of latent responses on the quadrature nodes.
 
     2PL: a_j is the OLS slope of y_j on theta (unweighted over nodes),
     tau_j the intercept, and b_j = -tau_j / a_j.  1PL: the slope is pinned
     at one, leaving the intercept-only estimate tau_j = mean(y_j) - mean(theta).
 
-    Returns the new parameters and a per-item flag marking slopes too close
-    to zero to invert; those items get the sentinel difficulty ±B_CAP.
+    Returns the new (a, b) arrays and a per-item boolean array marking
+    slopes too close to zero to invert; those items get the sentinel
+    difficulty ±B_CAP (and a = A_MIN where the slope is exactly zero).
     """
+    # means as add.reduce / count, the arithmetic of ndarray.mean
     theta = grid.nodes
-    theta_bar = theta.mean()
-    y_bar = table.y.mean(axis=1)
+    theta_bar = np.add.reduce(theta) / theta.size
+    y_bar = np.add.reduce(table.y, axis=1) / table.y.shape[1]
 
     if model is ModelKind.ONE_PL:
         tau = y_bar - theta_bar
-        return [ItemParams(a=1.0, b=float(-t)) for t in tau], [False] * len(tau)
+        return np.ones_like(tau), -tau, np.zeros(len(tau), dtype=bool)
 
     if grid.size < 2:
         raise ValueError("the 2PL OLS step needs at least 2 quadrature points")
@@ -167,50 +166,54 @@ def ols_mstep(
     slopes = (table.y - y_bar[:, None]) @ centered / denom
     taus = y_bar - slopes * theta_bar
 
-    params: list[ItemParams] = []
-    degenerate: list[bool] = []
-    for a_hat, tau_hat in zip(slopes, taus):
-        if abs(a_hat) < A_MIN:
-            params.append(ItemParams(a=float(a_hat) or A_MIN, b=math.copysign(B_CAP, tau_hat)))
-            degenerate.append(True)
-        else:
-            params.append(ItemParams(a=float(a_hat), b=float(-tau_hat / a_hat)))
-            degenerate.append(False)
-    return params, degenerate
+    degenerate = np.abs(slopes) < A_MIN
+    if not degenerate.any():
+        return slopes, -taus / slopes, degenerate
+    a = np.where(slopes == 0.0, A_MIN, slopes)
+    b = np.divide(-taus, slopes, out=np.copysign(B_CAP, taus), where=~degenerate)
+    return a, b, degenerate
 
 
-def _start_params(data: PatternData, cfg: FitConfig) -> list[ItemParams]:
-    a0 = 1.0 if cfg.model is ModelKind.ONE_PL else cfg.start_a
-    return [ItemParams(a=a0, b=cfg.start_b) for _ in range(data.n_items)]
+def _check_params(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise the ValueError of ItemParams for the first item it rejects."""
+    ok = np.isfinite(a) & np.isfinite(b) & (a != 0.0)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        ItemParams(a=a[j], b=b[j])
 
 
-def _max_param_delta(old: Sequence[ItemParams], new: Sequence[ItemParams]) -> float:
-    return max(
-        max(abs(n.a - o.a), abs(n.b - o.b)) for o, n in zip(old, new)
-    )
+def _item_params(a: np.ndarray, b: np.ndarray) -> list[ItemParams]:
+    return [ItemParams(a=a_j, b=b_j) for a_j, b_j in zip(a.tolist(), b.tolist())]
 
 
 def _run_em(
     data: PatternData,
     cfg: FitConfig,
-    mstep,
+    make_mstep,
     enforce_ascent,
     callback: IterationCallback | None = None,
 ) -> FitResult:
     """Generic EM loop shared by the OLS and Newton-Raphson M-steps.
 
-    mstep(params, counts, grid) must return (new_params, per_item_flags);
-    enforce_ascent(ll_old, ll_new, iteration) may raise when the trace
-    regresses.  Each visited parameter set gets exactly one pattern
-    likelihood pass: posterior() returns the observed log-likelihood with
-    the posterior, so the pass after an M-step records that iteration's
-    log-likelihood and feeds the next E-step.
+    Works on (J,) float64 arrays a and b.  make_mstep(grid) returns
+    mstep(a, b, counts) -> (new_a, new_b, degenerate), the last marking
+    items to flag DEGENERATE_SLOPE; a non-finite or zero estimate raises
+    ItemParams' ValueError.  enforce_ascent(ll_old, ll_new, iteration) may
+    raise when the trace regresses.  Each visited parameter set gets one
+    clamped probability matrix, shared by its phi residuals and its
+    E-step, and one pattern likelihood pass, whose normaliser gives the
+    observed log-likelihood.
     """
     grid = normal_grid(cfg.resolved_quads)
-    params = _start_params(data, cfg)
-    flags: list[set[str]] = [set() for _ in params]
+    mstep = make_mstep(grid)
+    a0 = 1.0 if cfg.model is ModelKind.ONE_PL else cfg.start_a
+    a = np.full(data.n_items, a0, dtype=np.float64)
+    b = np.full(data.n_items, cfg.start_b, dtype=np.float64)
+    _check_params(a, b)
+    flagged = np.zeros(data.n_items, dtype=bool)
 
-    post, ll = expectation.posterior(data, params, grid)
+    prob = expectation.response_prob_matrix(a, b, grid)
+    post, ll = expectation.posterior(data, prob, grid)
     loglik_trace = [ll]
     max_delta_trace: list[float] = []
     phi_max_trace: list[float] = []
@@ -221,39 +224,41 @@ def _run_em(
     for iteration in range(1, cfg.max_iter + 1):
         counts = expectation.expected_counts(data, post)
         if callback is not None:
-            callback(iteration, params, post, counts)
+            callback(iteration, _item_params(a, b), post, counts)
 
-        new_params, item_flags = mstep(params, counts, grid)
-        for item_flagset, new_flags in zip(flags, item_flags):
-            item_flagset.update(new_flags)
+        new_a, new_b, degenerate = mstep(a, b, counts)
+        # np.maximum keeps NaN; a finite delta from finite (a, b) means finite estimates
+        delta = float(np.maximum(np.abs(new_a - a).max(), np.abs(new_b - b).max()))
+        if not (math.isfinite(delta) and new_a.all()):
+            _check_params(new_a, new_b)
+        flagged |= degenerate
 
-        phi = expectation.phi_residuals(new_params, counts, grid)
+        prob = expectation.response_prob_matrix(new_a, new_b, grid)
+        phi = expectation.phi_residuals(prob, counts)
         phi_max_trace.append(float(np.abs(phi).max()))
-
-        delta = _max_param_delta(params, new_params)
         max_delta_trace.append(delta)
 
-        post, ll = expectation.posterior(data, new_params, grid)
+        post, ll = expectation.posterior(data, prob, grid)
         if ll < loglik_trace[-1] - 1e-8:
             decreases += 1
             if enforce_ascent is not None:
                 enforce_ascent(loglik_trace[-1], ll, iteration)
         loglik_trace.append(ll)
 
-        params = new_params
+        a, b = new_a, new_b
         iterations = iteration
         if delta < cfg.tol:
             converged = True
             break
 
     return FitResult(
-        params=params,
+        params=_item_params(a, b),
         iterations=iterations,
         converged=converged,
         loglik_trace=loglik_trace,
         max_delta_trace=max_delta_trace,
         phi_max_trace=phi_max_trace,
-        flags=[sorted(f) for f in flags],
+        flags=[[DEGENERATE_SLOPE] if f else [] for f in flagged],
         loglik_decreases=decreases,
     )
 
@@ -270,12 +275,12 @@ def fit(
     the plug-in M-step is not an exact Q maximizer.
     """
 
-    def mstep(params, counts, grid):
+    def make_mstep(grid):
         eps = 1.0 / (1.0 + math.exp(log_odds_cap(grid)))
-        table = latent_responses(counts, eps=eps)
-        new_params, degenerate = ols_mstep(table, grid, cfg.model)
-        return new_params, [
-            {DEGENERATE_SLOPE} if d else set() for d in degenerate
-        ]
 
-    return _run_em(data, cfg, mstep, enforce_ascent=None, callback=callback)
+        def mstep(a, b, counts):
+            return ols_mstep(latent_responses(counts, eps=eps), grid, cfg.model)
+
+        return mstep
+
+    return _run_em(data, cfg, make_mstep, enforce_ascent=None, callback=callback)

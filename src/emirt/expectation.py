@@ -6,12 +6,11 @@ never produce infinities.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .model import ItemParams
 from .patterns import PatternData
 from .quadrature import QuadratureGrid
 
@@ -50,21 +49,21 @@ def logistic(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def response_prob_matrix(params: Sequence[ItemParams], grid: QuadratureGrid) -> np.ndarray:
-    """Clamped P_j(theta_t) for every item j and node t, shape (J, T)."""
-    a = np.array([p.a for p in params])
-    b = np.array([p.b for p in params])
+def clamp_prob(prob: np.ndarray) -> np.ndarray:
+    """np.clip(prob, EPS_P, 1 - EPS_P) without np.clip's Python-level dispatch."""
+    return np.minimum(np.maximum(prob, EPS_P), 1.0 - EPS_P)
+
+
+def response_prob_matrix(a: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Clamped P_j(theta_t) for discriminations a and difficulties b, shape (J, T)."""
     z = a[:, None] * (grid.nodes[None, :] - b[:, None])
-    return np.clip(logistic(z), EPS_P, 1.0 - EPS_P)
+    return clamp_prob(logistic(z))
 
 
-def _pattern_logliks(
-    data: PatternData, params: Sequence[ItemParams], grid: QuadratureGrid
-) -> np.ndarray:
+def _pattern_logliks(data: PatternData, prob: np.ndarray) -> np.ndarray:
     """log P(X | theta_t) for every pattern X and node t, shape (P, T)."""
-    if len(params) != data.n_items:
-        raise ValueError(f"expected {data.n_items} item parameters, got {len(params)}")
-    prob = response_prob_matrix(params, grid)
+    if len(prob) != data.n_items:
+        raise ValueError(f"expected {data.n_items} item parameters, got {len(prob)}")
     log_p = np.log(prob)
     log_q = np.log1p(-prob)
     x = data.float_patterns
@@ -72,15 +71,16 @@ def _pattern_logliks(
 
 
 def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    peak = m.max(axis=1, keepdims=True)
-    return (peak + np.log(np.exp(m - peak).sum(axis=1, keepdims=True))).ravel()
+    peak = np.maximum.reduce(m, axis=1, keepdims=True)
+    return (peak + np.log(np.add.reduce(np.exp(m - peak), axis=1, keepdims=True))).ravel()
 
 
 def posterior(
-    data: PatternData, params: Sequence[ItemParams], grid: QuadratureGrid
+    data: PatternData, prob: np.ndarray, grid: QuadratureGrid
 ) -> tuple[np.ndarray, float]:
     """Posterior P(theta_t | X) over nodes and the observed log-likelihood.
 
+    prob is the clamped (J, T) response_prob_matrix of the parameter set.
     Returns (post, loglik).  post has one row per pattern, normalized with
     log-sum-exp so that each row sums to one.  The row normalizers are the
     pattern log-likelihoods log sum_t P(X|theta_t) A_t, so their
@@ -89,11 +89,13 @@ def posterior(
     PosteriorUnderflowError when a pattern's likelihood underflows.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_joint = _pattern_logliks(data, params, grid) + np.log(grid.weights)[None, :]
+        log_joint = _pattern_logliks(data, prob) + np.log(grid.weights)[None, :]
         norm = _logsumexp_rows(log_joint)
-    if not np.all(np.isfinite(norm)):
+        loglik = float(data.freqs @ norm)
+    # norms of clamped probabilities are far from overflow: the sum is finite iff all are
+    if not math.isfinite(loglik):
         raise PosteriorUnderflowError(int(np.argmin(np.isfinite(norm))))
-    return np.exp(log_joint - norm[:, None]), float(data.freqs @ norm)
+    return np.exp(log_joint - norm[:, None]), loglik
 
 
 def expected_counts(data: PatternData, post: np.ndarray) -> ExpectedCounts:
@@ -105,38 +107,34 @@ def expected_counts(data: PatternData, post: np.ndarray) -> ExpectedCounts:
     return ExpectedCounts(n1=n1, nt=nt)
 
 
-def observed_loglik(
-    data: PatternData, params: Sequence[ItemParams], grid: QuadratureGrid
-) -> float:
+def observed_loglik(data: PatternData, prob: np.ndarray, grid: QuadratureGrid) -> float:
     """Marginal log-likelihood sum_X N_X log sum_t P(X|theta_t) A_t.
 
     The EM loop takes this value from posterior(); this function computes
     it on its own and is the reference the fit traces are tested against.
     """
-    log_joint = _pattern_logliks(data, params, grid) + np.log(grid.weights)[None, :]
+    log_joint = _pattern_logliks(data, prob) + np.log(grid.weights)[None, :]
     return float(data.freqs @ _logsumexp_rows(log_joint))
 
 
-def q1(
-    params: Sequence[ItemParams], counts: ExpectedCounts, grid: QuadratureGrid
-) -> float:
-    """Item-parameter part of the expected complete-data log-likelihood."""
-    prob = response_prob_matrix(params, grid)
+def q1(prob: np.ndarray, counts: ExpectedCounts) -> float:
+    """Item-parameter part of the expected complete-data log-likelihood.
+
+    prob is the clamped (J, T) response_prob_matrix of the parameter set.
+    """
     return float(
         np.sum(counts.n1 * np.log(prob))
         + np.sum((counts.nt[None, :] - counts.n1) * np.log1p(-prob))
     )
 
 
-def phi_residuals(
-    params: Sequence[ItemParams], counts: ExpectedCounts, grid: QuadratureGrid
-) -> np.ndarray:
+def phi_residuals(prob: np.ndarray, counts: ExpectedCounts) -> np.ndarray:
     """Per-item, per-node stationarity residuals N1/P - N0/(1-P).
 
-    These approach zero at the marginal maximum likelihood solution, so the
-    matrix doubles as a convergence diagnostic.
+    prob is the clamped (J, T) response_prob_matrix of the parameter set.
+    The residuals approach zero at the marginal maximum likelihood
+    solution, so the matrix doubles as a convergence diagnostic.
     """
-    prob = response_prob_matrix(params, grid)
     n0 = counts.nt[None, :] - counts.n1
     return counts.n1 / prob - n0 / (1.0 - prob)
 

@@ -125,23 +125,26 @@ def load_response_csv(path: str | Path) -> np.ndarray:
 def _parse_strict(raw: bytes) -> np.ndarray | None:
     """The response matrix of a strict file, or None for any other file.
 
-    The first line is skipped under the header rule of _parse_csv.  Without
+    A leading UTF-8 byte-order mark is skipped, as _parse_csv's utf-8-sig
+    decoding does.  The first line is skipped under the header rule of
+    _parse_csv.  Without
     quotes or carriage returns in it, splitting on commas gives the tokens
     csv.reader would, so both parsers skip the same line.  Every remaining
     row must read "d,d,...,d\n" with d in {0, 1}, which both parsers read
     as the same values.
     """
+    bom = 3 if raw.startswith(b"\xef\xbb\xbf") else 0  # UTF-8 byte-order mark
     head_end = raw.find(b"\n")
     if head_end < 0:
         return None
     try:
-        head = raw[:head_end].decode("utf-8")
+        head = raw[bom:head_end].decode("utf-8")
     except UnicodeDecodeError:
         return None
     if '"' in head or "\r" in head:
         return None
     header = any(tok.strip() not in ("0", "1") for tok in head.split(","))
-    start = head_end + 1 if header else 0
+    start = head_end + 1 if header else bom
     width = raw.find(b"\n", start) + 1 - start  # two bytes per value
     if width <= 0 or width % 2 or (len(raw) - start) % width:
         return None
@@ -158,7 +161,7 @@ def _parse_csv(raw: bytes, path: str | Path) -> np.ndarray:
     """Parse any response CSV with the csv module, locating malformed cells."""
     rows: list[list[int]] = []
     width: int | None = None
-    with io.TextIOWrapper(io.BytesIO(raw), newline="", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, record in enumerate(reader, start=1):
             if not record or all(tok.strip() == "" for tok in record):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -69,13 +70,15 @@ def hermite_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@cache
 def normal_grid(n_points: int) -> QuadratureGrid:
     """Rescale the Gauss-Hermite rule into a grid for a standard normal trait.
 
     The change of variables x = theta / sqrt(2) maps the exp(-x^2) weight
     onto the N(0, 1) density: nodes scale by sqrt(2) and weights by
     1/sqrt(pi).  Weights are renormalized to sum to exactly one so that
-    downstream count conservation is drift-free.
+    downstream count conservation is drift-free.  The grid is built once
+    per point count and shared: it is frozen and its arrays are read-only.
     """
     raw_nodes, raw_weights = hermite_rule(n_points)
     nodes = raw_nodes * math.sqrt(2.0)

@@ -98,13 +98,16 @@ class _FitRecord:
     rep: int
     estimator: str
     n_quads: int
-    ok: bool
-    a_hat: tuple[float, ...]
-    b_hat: tuple[float, ...]
-    degenerate: tuple[bool, ...]
-    converged: bool
     wall_ms: float
-    error: str = ""
+    a_hat: tuple[float, ...] = ()
+    b_hat: tuple[float, ...] = ()
+    degenerate: tuple[bool, ...] = ()
+    converged: bool = False
+    error: str = ""  # set when the fit raised
+
+    @property
+    def ok(self) -> bool:
+        return not self.error
 
 
 def generate(
@@ -180,35 +183,20 @@ def _run_replication(args) -> list[_FitRecord]:
                 result = fit_estimator(data, estimator, cfg)
             except Exception as exc:  # per-fit failures never abort the study
                 wall = (time.perf_counter() - start) * 1e3
-                records.append(
-                    _FitRecord(
-                        rep=rep,
-                        estimator=estimator,
-                        n_quads=n_quads,
-                        ok=False,
-                        a_hat=(),
-                        b_hat=(),
-                        degenerate=(),
-                        converged=False,
-                        wall_ms=wall,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                error = f"{type(exc).__name__}: {exc}"
+                records.append(_FitRecord(rep, estimator, n_quads, wall, error=error))
                 continue
             wall = (time.perf_counter() - start) * 1e3
             records.append(
                 _FitRecord(
-                    rep=rep,
-                    estimator=estimator,
-                    n_quads=n_quads,
-                    ok=True,
+                    rep,
+                    estimator,
+                    n_quads,
+                    wall,
                     a_hat=tuple(p.a for p in result.params),
                     b_hat=tuple(p.b for p in result.params),
-                    degenerate=tuple(
-                        DEGENERATE_SLOPE in f for f in result.flags
-                    ),
+                    degenerate=tuple(DEGENERATE_SLOPE in f for f in result.flags),
                     converged=result.converged,
-                    wall_ms=wall,
                 )
             )
     return records

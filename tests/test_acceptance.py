@@ -195,14 +195,12 @@ def test_criterion_4_gradient_correctness():
         counts = expectation.ExpectedCounts(n1=n1[None, :], nt=nt)
         s_a, s_b = item_score(p, n1, nt, grid)
         hq = 1e-6
-        fd_a = (
-            expectation.q1([ItemParams(a=p.a + hq, b=p.b)], counts, grid)
-            - expectation.q1([ItemParams(a=p.a - hq, b=p.b)], counts, grid)
-        ) / (2 * hq)
-        fd_b = (
-            expectation.q1([ItemParams(a=p.a, b=p.b + hq)], counts, grid)
-            - expectation.q1([ItemParams(a=p.a, b=p.b - hq)], counts, grid)
-        ) / (2 * hq)
+        def q1_at(a, b):
+            prob = expectation.response_prob_matrix(np.array([a]), np.array([b]), grid)
+            return expectation.q1(prob, counts)
+
+        fd_a = (q1_at(p.a + hq, p.b) - q1_at(p.a - hq, p.b)) / (2 * hq)
+        fd_b = (q1_at(p.a, p.b + hq) - q1_at(p.a, p.b - hq)) / (2 * hq)
         worst_score = max(
             worst_score,
             abs(fd_a - s_a) / max(abs(s_a), 1.0),
@@ -362,7 +360,10 @@ def test_criterion_9_brute_force_loglik():
                     prob *= irf(p, node) if x else 1.0 - irf(p, node)
                 mixture += prob * weight
             expected += freq * math.log(mixture)
-        worst = max(worst, abs(expectation.observed_loglik(data, params, grid) - expected))
+        prob = expectation.response_prob_matrix(
+            np.array([p.a for p in params]), np.array([p.b for p in params]), grid
+        )
+        worst = max(worst, abs(expectation.observed_loglik(data, prob, grid) - expected))
     report(9, worst <= 1e-10, f"worst |loglik - enumeration| = {worst:.2e} (tol 1e-10)")
 
 

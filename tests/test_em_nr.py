@@ -8,13 +8,24 @@ import pytest
 from emirt import em_nr
 from emirt.em_nr import NRConfig, _information, _score, fit_nr, item_score, nr_mstep
 from emirt.em_ols import FitConfig, fit
-from emirt.expectation import ExpectedCounts, logistic, q1
+from emirt.expectation import ExpectedCounts, logistic, q1, response_prob_matrix
 from emirt.model import ItemParams, ModelKind, irf
 from emirt.patterns import tabulate
 from emirt.quadrature import QuadratureGrid, normal_grid
 from emirt.simgen import generate
 
 SIG1 = 1.0 / (1.0 + math.exp(-1.0))
+
+
+def mstep_params(params, counts, grid, cfg, model):
+    """nr_mstep on a list of ItemParams, returned as ItemParams."""
+    a = np.array([p.a for p in params])
+    b = np.array([p.b for p in params])
+    return [ItemParams(a=x, b=y) for x, y in zip(*nr_mstep(a, b, counts, grid, cfg, model))]
+
+
+def q1_at(a, b, counts, grid):
+    return q1(response_prob_matrix(np.array([a]), np.array([b]), grid), counts)
 
 
 def single_node_grid():
@@ -56,14 +67,8 @@ class TestItemScore:
         counts = ExpectedCounts(n1=n1[None, :], nt=nt)
         s_a, s_b = item_score(p, n1, nt, grid)
         h = 1e-6
-        fd_a = (
-            q1([ItemParams(a=p.a + h, b=p.b)], counts, grid)
-            - q1([ItemParams(a=p.a - h, b=p.b)], counts, grid)
-        ) / (2 * h)
-        fd_b = (
-            q1([ItemParams(a=p.a, b=p.b + h)], counts, grid)
-            - q1([ItemParams(a=p.a, b=p.b - h)], counts, grid)
-        ) / (2 * h)
+        fd_a = (q1_at(p.a + h, p.b, counts, grid) - q1_at(p.a - h, p.b, counts, grid)) / (2 * h)
+        fd_b = (q1_at(p.a, p.b + h, counts, grid) - q1_at(p.a, p.b - h, counts, grid)) / (2 * h)
         assert abs(fd_a - s_a) <= 1e-5 * max(abs(s_a), 1.0)
         assert abs(fd_b - s_b) <= 1e-5 * max(abs(s_b), 1.0)
 
@@ -105,7 +110,7 @@ class TestNewtonItem:
         cfg = NRConfig(model=ModelKind.TWO_PL)
         assert score_norm(p, n1, nt, grid) < cfg.inner_tol
         counts = ExpectedCounts(n1=n1[None, :], nt=nt)
-        (updated,) = nr_mstep([p], counts, grid, cfg, ModelKind.TWO_PL)
+        (updated,) = mstep_params([p], counts, grid, cfg, ModelKind.TWO_PL)
         assert updated.a == pytest.approx(p.a, abs=1e-12)
         assert updated.b == pytest.approx(p.b, abs=1e-12)
 
@@ -113,7 +118,7 @@ class TestNewtonItem:
         # P must equal 0.731 at the single node, so b = -logit(0.731)
         cfg = NRConfig(model=ModelKind.ONE_PL)
         counts = ExpectedCounts(n1=np.array([[7.31]]), nt=np.array([10.0]))
-        (updated,) = nr_mstep(
+        (updated,) = mstep_params(
             [ItemParams(a=1, b=0)], counts, single_node_grid(), cfg, ModelKind.ONE_PL
         )
         assert updated.a == 1.0
@@ -129,7 +134,7 @@ class TestNewtonItem:
         norms = []
         for steps in range(1, 6):
             cfg = NRConfig(model=ModelKind.TWO_PL, inner_max_iter=steps, inner_tol=1e-12)
-            (p,) = nr_mstep([ItemParams(a=1, b=0)], counts, grid, cfg, ModelKind.TWO_PL)
+            (p,) = mstep_params([ItemParams(a=1, b=0)], counts, grid, cfg, ModelKind.TWO_PL)
             norms.append(score_norm(p, n1, nt, grid))
         tail = [n for n in norms if n > 1e-9]
         assert len(tail) >= 3
@@ -153,7 +158,7 @@ class TestNewtonItem:
                 nt = np.zeros(n_quads)
                 nt[node] = mass
                 counts = ExpectedCounts(n1=share * nt[None, :], nt=nt)
-                (updated,) = nr_mstep([p], counts, grid, cfg, ModelKind.TWO_PL)
+                (updated,) = mstep_params([p], counts, grid, cfg, ModelKind.TWO_PL)
                 assert math.isfinite(updated.a) and math.isfinite(updated.b)
                 assert updated.a == pytest.approx(p.a, abs=1e-12)
                 assert updated.b == pytest.approx(p.b, abs=1e-12)
@@ -167,10 +172,10 @@ class TestNewtonItem:
         counts = ExpectedCounts(n1=n1, nt=nt)
         cfg = NRConfig(model=ModelKind.TWO_PL)
         start = [ItemParams(a=1.0, b=0.0)] * 3
-        together = nr_mstep(start, counts, grid, cfg, ModelKind.TWO_PL)
+        together = mstep_params(start, counts, grid, cfg, ModelKind.TWO_PL)
         for j in range(3):
             alone = ExpectedCounts(n1=n1[j : j + 1], nt=nt)
-            (p,) = nr_mstep(start[:1], alone, grid, cfg, ModelKind.TWO_PL)
+            (p,) = mstep_params(start[:1], alone, grid, cfg, ModelKind.TWO_PL)
             # products over a different number of rows may round differently
             assert p.a == pytest.approx(together[j].a, rel=1e-12)
             assert p.b == pytest.approx(together[j].b, rel=1e-12)
@@ -228,8 +233,8 @@ class TestFitNr:
         truth = [ItemParams(a=1.0, b=0.3)]
         data = tabulate(generate(truth, 500, 2))
 
-        def sabotage(params, counts, grid, cfg, model):
-            return [ItemParams(a=1.0, b=p.b + 3.0) for p in params]
+        def sabotage(a, b, counts, grid, cfg, model):
+            return a, b + 3.0
 
         monkeypatch.setattr(em_nr, "nr_mstep", sabotage)
         with pytest.raises(em_nr.MonotonicityViolationError):

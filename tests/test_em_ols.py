@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from emirt import expectation
+from emirt import em_ols, expectation
 from emirt.em_nr import NRConfig, fit_nr
 from emirt.em_ols import (
     DEGENERATE_SLOPE,
@@ -18,7 +18,7 @@ from emirt.em_ols import (
     ols_mstep,
 )
 from emirt.expectation import ExpectedCounts, expected_counts
-from emirt.model import ItemParams, ModelKind, irf
+from emirt.model import A_MIN, ItemParams, ModelKind, irf
 from emirt.patterns import tabulate
 from emirt.quadrature import QuadratureGrid, normal_grid
 from emirt.simgen import generate
@@ -69,36 +69,36 @@ class TestOlsMstep:
         table = LatentResponseTable(
             y=np.array([[-1.0, 1.0]]), clamped=np.zeros((1, 2), bool)
         )
-        params, degenerate = ols_mstep(table, grid_at(-1, 1), ModelKind.TWO_PL)
-        assert params[0].a == pytest.approx(1.0)
-        assert params[0].b == pytest.approx(0.0)
-        assert degenerate == [False]
+        a, b, degenerate = ols_mstep(table, grid_at(-1, 1), ModelKind.TWO_PL)
+        assert a[0] == pytest.approx(1.0)
+        assert b[0] == pytest.approx(0.0)
+        assert degenerate.tolist() == [False]
 
     def test_exact_line_with_intercept(self):
         table = LatentResponseTable(
             y=np.array([[0.0, 2.0]]), clamped=np.zeros((1, 2), bool)
         )
-        params, _ = ols_mstep(table, grid_at(-1, 1), ModelKind.TWO_PL)
-        assert params[0].a == pytest.approx(1.0)
-        assert params[0].tau == pytest.approx(1.0)
-        assert params[0].b == pytest.approx(-1.0)
+        a, b, _ = ols_mstep(table, grid_at(-1, 1), ModelKind.TWO_PL)
+        assert a[0] == pytest.approx(1.0)
+        assert -a[0] * b[0] == pytest.approx(1.0)
+        assert b[0] == pytest.approx(-1.0)
 
     def test_three_point_slope(self):
         table = LatentResponseTable(
             y=np.array([[-2.0, 0.0, 2.0]]), clamped=np.zeros((1, 3), bool)
         )
-        params, _ = ols_mstep(table, grid_at(-1, 0, 1), ModelKind.TWO_PL)
-        assert params[0].a == pytest.approx(2.0)
-        assert params[0].b == pytest.approx(0.0)
+        a, b, _ = ols_mstep(table, grid_at(-1, 0, 1), ModelKind.TWO_PL)
+        assert a[0] == pytest.approx(2.0)
+        assert b[0] == pytest.approx(0.0)
 
     def test_one_pl_intercept_only(self):
         table = LatentResponseTable(
             y=np.array([[0.3, 2.1]]), clamped=np.zeros((1, 2), bool)
         )
-        params, degenerate = ols_mstep(table, grid_at(-1, 1), ModelKind.ONE_PL)
-        assert params[0].a == 1.0
-        assert params[0].b == pytest.approx(-1.2)
-        assert degenerate == [False]
+        a, b, degenerate = ols_mstep(table, grid_at(-1, 1), ModelKind.ONE_PL)
+        assert a[0] == 1.0
+        assert b[0] == pytest.approx(-1.2)
+        assert degenerate.tolist() == [False]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_recovers_affine_rows_exactly(self, seed):
@@ -109,17 +109,45 @@ class TestOlsMstep:
         intercepts = rng.uniform(-3, 3, 3)
         y = slopes[:, None] * grid.nodes[None, :] + intercepts[:, None]
         table = LatentResponseTable(y=y, clamped=np.zeros_like(y, bool))
-        params, _ = ols_mstep(table, grid, ModelKind.TWO_PL)
-        np.testing.assert_allclose([p.a for p in params], slopes, atol=1e-12)
-        np.testing.assert_allclose([p.tau for p in params], intercepts, atol=1e-12)
+        a, b, _ = ols_mstep(table, grid, ModelKind.TWO_PL)
+        np.testing.assert_allclose(a, slopes, atol=1e-12)
+        np.testing.assert_allclose(-a * b, intercepts, atol=1e-12)
 
     def test_flat_row_is_flagged(self):
         table = LatentResponseTable(
             y=np.array([[1.3, 1.3, 1.3]]), clamped=np.zeros((1, 3), bool)
         )
-        params, degenerate = ols_mstep(table, grid_at(-1, 0, 1), ModelKind.TWO_PL)
-        assert degenerate == [True]
-        assert params[0].b == math.copysign(B_CAP, 1.3)
+        a, b, degenerate = ols_mstep(table, grid_at(-1, 0, 1), ModelKind.TWO_PL)
+        assert degenerate.tolist() == [True]
+        assert a[0] == A_MIN
+        assert b[0] == math.copysign(B_CAP, 1.3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_per_item_loop(self, seed):
+        """The vectorised step gives the floats of the per-item loop it
+        replaced, with and without degenerate rows (a zero slope, a tiny one)."""
+        rng = np.random.default_rng(seed)
+        grid = normal_grid(int(rng.integers(2, 9)))
+        y = rng.uniform(-6, 6, (6, grid.size))
+        if seed % 2:
+            y[1] = 2.5  # zero slope
+            y[2] = -1.0 + 1e-9 * grid.nodes  # slope far below A_MIN
+        table = LatentResponseTable(y=y, clamped=np.zeros_like(y, bool))
+        a, b, degenerate = ols_mstep(table, grid, ModelKind.TWO_PL)
+
+        theta_bar = grid.nodes.mean()
+        y_bar = y.mean(axis=1)
+        centered = grid.nodes - theta_bar
+        slopes = (y - y_bar[:, None]) @ centered / float(centered @ centered)
+        taus = y_bar - slopes * theta_bar
+        want = []
+        for a_hat, tau_hat in zip(slopes, taus):
+            if abs(a_hat) < A_MIN:
+                want.append((float(a_hat) or A_MIN, math.copysign(B_CAP, tau_hat), True))
+            else:
+                want.append((float(a_hat), float(-tau_hat / a_hat), False))
+        assert list(zip(a.tolist(), b.tolist(), degenerate.tolist())) == want
+        assert degenerate.any() == bool(seed % 2)
 
     def test_two_pl_needs_two_nodes(self):
         table = LatentResponseTable(y=np.array([[1.0]]), clamped=np.zeros((1, 1), bool))
@@ -140,9 +168,9 @@ class TestMstepFixedPoint:
         nt = rng.uniform(5, 50, grid.size)
         n1 = np.array([[nt[t] * irf(p, grid.nodes[t]) for t in range(grid.size)] for p in params])
         table = latent_responses(ExpectedCounts(n1=n1, nt=nt))
-        new_params, _ = ols_mstep(table, grid, ModelKind.TWO_PL)
-        np.testing.assert_allclose([p.a for p in new_params], [p.a for p in params], atol=1e-9)
-        np.testing.assert_allclose([p.b for p in new_params], [p.b for p in params], atol=1e-9)
+        a, b, _ = ols_mstep(table, grid, ModelKind.TWO_PL)
+        np.testing.assert_allclose(a, [p.a for p in params], atol=1e-9)
+        np.testing.assert_allclose(b, [p.b for p in params], atol=1e-9)
 
 
 class TestFit:
@@ -252,7 +280,10 @@ class TestLoglikReuse:
         assert len(visited) == len(result.loglik_trace)
         grid = normal_grid(cfg.resolved_quads)
         for ll, params in zip(result.loglik_trace, visited):
-            assert ll == expectation.observed_loglik(data, params, grid)
+            prob = expectation.response_prob_matrix(
+                np.array([p.a for p in params]), np.array([p.b for p in params]), grid
+            )
+            assert ll == expectation.observed_loglik(data, prob, grid)
 
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     def test_one_posterior_per_visited_set(self, estimator, monkeypatch):
@@ -274,6 +305,122 @@ class TestLoglikReuse:
         fitter, config = ESTIMATORS[estimator]
         result = fitter(data, config(model=ModelKind.ONE_PL))
         assert calls == {"posterior": result.iterations + 1, "observed_loglik": 0}
+
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_one_probability_matrix_per_visited_set(self, estimator, monkeypatch):
+        calls = 0
+        original = expectation.response_prob_matrix
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(expectation, "response_prob_matrix", counted)
+        truth = [ItemParams(a=0.8, b=-0.5), ItemParams(a=1.4, b=0.8)]
+        data = tabulate(generate(truth, 600, 8))
+        fitter, config = ESTIMATORS[estimator]
+        result = fitter(data, config(model=ModelKind.TWO_PL))
+        assert result.iterations > 2
+        assert calls == result.iterations + 1
+
+
+ONE_PL_TRUTH = [ItemParams(a=1.0, b=b) for b in (-1.0, 0.0, 1.0)]
+TWO_PL_TRUTH = [ItemParams(a=0.8, b=-1.0), ItemParams(a=1.2, b=0.0), ItemParams(a=1.5, b=1.0)]
+
+
+def constant_item_matrix():
+    """Two ordinary items and a third that every person solved."""
+    return np.hstack([generate(TWO_PL_TRUTH[:2], 400, 11), np.ones((400, 1), dtype=int)])
+
+
+# (model, node count or None for the default, responses) -> expected
+# (converged, iterations, flags) per estimator, as the per-item ItemParams
+# loop before the array core gave them.
+DEG = [DEGENERATE_SLOPE]
+EDGE_CASES = {
+    "1pl_one_node": (
+        ModelKind.ONE_PL, 1, lambda: generate(ONE_PL_TRUTH, 500, 3),
+        {"ols": (True, 2, [[], [], []]), "nr": (True, 2, [[], [], []])},
+    ),
+    "1pl_fifty_nodes": (
+        ModelKind.ONE_PL, 50, lambda: generate(ONE_PL_TRUTH, 500, 3),
+        {"ols": (True, 5, [[], [], []]), "nr": (True, 7, [[], [], []])},
+    ),
+    "2pl_fifty_nodes": (
+        ModelKind.TWO_PL, 50, lambda: generate(TWO_PL_TRUTH, 500, 4),
+        {"ols": (True, 91, [[], [], []]), "nr": (False, 500, [[], [], []])},
+    ),
+    "1pl_one_person": (
+        ModelKind.ONE_PL, None, lambda: [[1, 0, 1]],
+        {"ols": (True, 2, [[], [], []]), "nr": (True, 2, [[], [], []])},
+    ),
+    "2pl_one_person": (
+        ModelKind.TWO_PL, None, lambda: [[1, 0, 1]],
+        {"ols": (True, 2, [DEG, DEG, DEG]), "nr": (False, 500, [[], [], []])},
+    ),
+    "1pl_constant_item": (
+        ModelKind.ONE_PL, None, constant_item_matrix,
+        {"ols": (True, 10, [[], [], []]), "nr": (False, 500, [[], [], []])},
+    ),
+    "2pl_constant_item": (
+        ModelKind.TWO_PL, None, constant_item_matrix,
+        {"ols": (True, 28, [[], [], DEG]), "nr": (False, 500, [[], [], []])},
+    ),
+}
+
+
+class TestEdgeInputs:
+    """Extreme node counts, one person and a constant item, both estimators."""
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_outcome(self, case, estimator):
+        model, n_quads, responses, expected = EDGE_CASES[case]
+        data = tabulate(responses())
+        fitter, config = ESTIMATORS[estimator]
+        result = fitter(data, config(model=model, n_quads=n_quads))
+        assert (result.converged, result.iterations, result.flags) == expected[estimator]
+        assert all(math.isfinite(p.a) and math.isfinite(p.b) for p in result.params)
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize(
+        "start, message",
+        [({"start_a": 0.0}, "discrimination must be nonzero"),
+         ({"start_b": math.inf}, "item parameters must be finite")],
+    )
+    def test_bad_start_raises_like_item_params(self, estimator, start, message):
+        data = tabulate(generate(TWO_PL_TRUTH, 300, 2))
+        fitter, config = ESTIMATORS[estimator]
+        with pytest.raises(ValueError, match=message):
+            fitter(data, config(model=ModelKind.TWO_PL, **start))
+
+    @pytest.mark.parametrize(
+        "param, value, message",
+        [("a", math.nan, r"must be finite, got a=nan, b="),
+         ("b", math.nan, r"must be finite, got a=.*, b=nan"),
+         ("b", -math.inf, r"must be finite, got a=.*, b=-inf"),
+         ("a", 0.0, "discrimination must be nonzero")],
+    )
+    def test_bad_estimate_raises_at_its_iteration(self, monkeypatch, param, value, message):
+        """An M-step that yields a non-finite or zero estimate stops the fit
+        with ItemParams' error in that iteration."""
+        original = em_ols.ols_mstep
+        calls = []
+
+        def breaks_on_third_call(table, grid, model):
+            a, b, degenerate = original(table, grid, model)
+            calls.append(None)
+            if len(calls) == 3:
+                {"a": a, "b": b}[param][1] = value
+            return a, b, degenerate
+
+        monkeypatch.setattr(em_ols, "ols_mstep", breaks_on_third_call)
+        data = tabulate(generate(TWO_PL_TRUTH, 300, 2))
+        with pytest.raises(ValueError, match=message):
+            fit(data, FitConfig(model=ModelKind.TWO_PL))
+        assert len(calls) == 3
 
 
 class TestFitConfigValidation:

@@ -12,12 +12,28 @@ from emirt.expectation import (
     phi_residuals,
     posterior,
     q1,
+    response_prob_matrix,
 )
 from emirt.model import ItemParams, irf
 from emirt.patterns import tabulate
 from emirt.quadrature import QuadratureGrid, normal_grid
 
 SIG1 = 1.0 / (1.0 + math.exp(-1.0))  # 0.731058...
+
+
+def prob_of(params, grid):
+    """The clamped (J, T) response probability matrix of an ItemParams list."""
+    a = np.array([p.a for p in params])
+    b = np.array([p.b for p in params])
+    return response_prob_matrix(a, b, grid)
+
+
+def loglik_at(data, params, grid):
+    return posterior(data, prob_of(params, grid), grid)[1]
+
+
+def posterior_at(data, params, grid):
+    return posterior(data, prob_of(params, grid), grid)[0]
 
 
 def two_point_grid():
@@ -44,42 +60,42 @@ def one_node_grid(node):
 class TestPatternLikelihoods:
     def test_single_item_at_zero(self):
         data = tabulate([[1]])
-        _, ll = posterior(data, [ItemParams(a=1, b=0)], normal_grid(1))
+        ll = loglik_at(data, [ItemParams(a=1, b=0)], normal_grid(1))
         np.testing.assert_allclose(ll, math.log(0.5), rtol=1e-14)
 
     def test_independent_items_at_their_difficulty(self):
         with pytest.warns(UserWarning):
             data = tabulate([[1, 1]])
-        _, ll = posterior(
+        ll = loglik_at(
             data, [ItemParams(a=1.3, b=0), ItemParams(a=0.7, b=0)], normal_grid(1)
         )
         np.testing.assert_allclose(ll, math.log(0.25), rtol=1e-12)
 
     def test_single_item_at_one(self):
         data = tabulate([[1]])
-        _, ll = posterior(data, [ItemParams(a=1, b=0)], one_node_grid(1.0))
+        ll = loglik_at(data, [ItemParams(a=1, b=0)], one_node_grid(1.0))
         np.testing.assert_allclose(ll, math.log(SIG1), rtol=1e-12)
 
     def test_wrong_param_count(self):
         data = tabulate([[1, 0]])
         with pytest.raises(ValueError):
-            posterior(data, [ItemParams(a=1, b=0)], normal_grid(2))
+            loglik_at(data, [ItemParams(a=1, b=0)], normal_grid(2))
 
 
 class TestPosterior:
     def test_two_node_example(self):
         data = tabulate([[1]])
-        post, _ = posterior(data, [ItemParams(a=1, b=0)], two_point_grid())
+        post = posterior_at(data, [ItemParams(a=1, b=0)], two_point_grid())
         np.testing.assert_allclose(post, [[1 - SIG1, SIG1]], rtol=1e-10)
 
     def test_mirrored_pattern(self):
         data = tabulate([[0]])
-        post, _ = posterior(data, [ItemParams(a=1, b=0)], two_point_grid())
+        post = posterior_at(data, [ItemParams(a=1, b=0)], two_point_grid())
         np.testing.assert_allclose(post, [[SIG1, 1 - SIG1]], rtol=1e-10)
 
     def test_single_node_is_certain(self):
         data = tabulate([[1, 0], [0, 1]])
-        post, _ = posterior(
+        post = posterior_at(
             data, [ItemParams(a=1, b=0), ItemParams(a=1, b=1)], normal_grid(1)
         )
         np.testing.assert_allclose(post, np.ones((2, 1)))
@@ -88,7 +104,7 @@ class TestPosterior:
     def test_rows_sum_to_one(self, seed):
         params, matrix, grid = random_instance(seed)
         data = tabulate(matrix)
-        post, _ = posterior(data, params, grid)
+        post = posterior_at(data, params, grid)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-10)
         assert ((post >= 0) & (post <= 1)).all()
 
@@ -96,14 +112,15 @@ class TestPosterior:
     def test_loglik_is_the_observed_loglik(self, seed):
         params, matrix, grid = random_instance(seed)
         data = tabulate(matrix)
-        _, ll = posterior(data, params, grid)
-        assert ll == observed_loglik(data, params, grid)
+        prob = prob_of(params, grid)
+        _, ll = posterior(data, prob, grid)
+        assert ll == observed_loglik(data, prob, grid)
 
     def test_underflow_is_reported(self):
         data = tabulate([[1]])
         dead_grid = QuadratureGrid(nodes=np.array([0.0]), weights=np.array([0.0]))
         with pytest.raises(PosteriorUnderflowError) as err:
-            posterior(data, [ItemParams(a=1, b=0)], dead_grid)
+            posterior_at(data, [ItemParams(a=1, b=0)], dead_grid)
         assert err.value.pattern_index == 0
 
 
@@ -122,7 +139,7 @@ class TestExpectedCounts:
 
     def test_composes_with_posterior(self):
         data = tabulate([[1]])
-        post, _ = posterior(data, [ItemParams(a=1, b=0)], two_point_grid())
+        post = posterior_at(data, [ItemParams(a=1, b=0)], two_point_grid())
         counts = expected_counts(data, post)
         np.testing.assert_allclose(counts.n1, [[1 - SIG1, SIG1]], rtol=1e-10)
 
@@ -130,7 +147,7 @@ class TestExpectedCounts:
     def test_conservation(self, seed):
         params, matrix, grid = random_instance(seed)
         data = tabulate(matrix)
-        counts = expected_counts(data, posterior(data, params, grid)[0])
+        counts = expected_counts(data, posterior_at(data, params, grid))
         np.testing.assert_allclose(counts.nt.sum(), data.n_persons, atol=1e-8)
         np.testing.assert_allclose(
             counts.n1.sum(axis=1),
@@ -144,17 +161,20 @@ class TestExpectedCounts:
 class TestObservedLoglik:
     def test_single_node(self):
         data = tabulate([[1]])
-        ll = observed_loglik(data, [ItemParams(a=1, b=0)], normal_grid(1))
+        grid = normal_grid(1)
+        ll = observed_loglik(data, prob_of([ItemParams(a=1, b=0)], grid), grid)
         np.testing.assert_allclose(ll, math.log(0.5), rtol=1e-12)
 
     def test_frequency_scaling(self):
         data = tabulate([[1], [1]])
-        ll = observed_loglik(data, [ItemParams(a=1, b=0)], normal_grid(1))
+        grid = normal_grid(1)
+        ll = observed_loglik(data, prob_of([ItemParams(a=1, b=0)], grid), grid)
         np.testing.assert_allclose(ll, 2 * math.log(0.5), rtol=1e-12)
 
     def test_symmetric_mixture(self):
         data = tabulate([[1]])
-        ll = observed_loglik(data, [ItemParams(a=1, b=0)], two_point_grid())
+        grid = two_point_grid()
+        ll = observed_loglik(data, prob_of([ItemParams(a=1, b=0)], grid), grid)
         np.testing.assert_allclose(ll, math.log(0.5), rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -171,26 +191,26 @@ class TestObservedLoglik:
                     prob *= irf(p, node) if x else 1.0 - irf(p, node)
                 mixture += prob * weight
             expected += freq * math.log(mixture)
-        got = observed_loglik(data, params, grid)
+        got = observed_loglik(data, prob_of(params, grid), grid)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 class TestQ1:
     def test_zero_counts(self):
         counts = ExpectedCounts(n1=np.zeros((1, 1)), nt=np.zeros(1))
-        assert q1([ItemParams(a=1, b=0)], counts, normal_grid(1)) == 0.0
+        assert q1(prob_of([ItemParams(a=1, b=0)], normal_grid(1)), counts) == 0.0
 
     def test_single_cell(self):
         # P(b such that irf = 0.3 at theta=0) = logit(0.3)
         b = -math.log(0.3 / 0.7)
         counts = ExpectedCounts(n1=np.array([[3.0]]), nt=np.array([10.0]))
-        value = q1([ItemParams(a=1, b=b)], counts, normal_grid(1))
+        value = q1(prob_of([ItemParams(a=1, b=b)], normal_grid(1)), counts)
         np.testing.assert_allclose(value, 3 * math.log(0.3) + 7 * math.log(0.7), rtol=1e-12)
 
     def test_fair_coin_entropy(self):
         # a so small the response curve is flat at one half
         counts = ExpectedCounts(n1=np.array([[3.0, 2.0]]), nt=np.array([6.0, 4.0]))
-        value = q1([ItemParams(a=1e-12, b=0)], counts, two_point_grid())
+        value = q1(prob_of([ItemParams(a=1e-12, b=0)], two_point_grid()), counts)
         np.testing.assert_allclose(value, 10 * math.log(0.5), rtol=1e-9)
 
 
@@ -200,16 +220,16 @@ class TestPhiResiduals:
         grid = two_point_grid()
         nt = np.array([7.0, 9.0])
         n1 = nt * np.array([irf(p, t) for t in grid.nodes])
-        phi = phi_residuals([p], ExpectedCounts(n1=n1[None, :], nt=nt), grid)
+        phi = phi_residuals(prob_of([p], grid), ExpectedCounts(n1=n1[None, :], nt=nt))
         np.testing.assert_allclose(phi, 0.0, atol=1e-9)
 
     def test_positive_residual(self):
         counts = ExpectedCounts(n1=np.array([[7.5]]), nt=np.array([10.0]))
-        phi = phi_residuals([ItemParams(a=1, b=0)], counts, normal_grid(1))
+        phi = phi_residuals(prob_of([ItemParams(a=1, b=0)], normal_grid(1)), counts)
         np.testing.assert_allclose(phi, [[10.0]], rtol=1e-12)
 
     def test_negative_residual(self):
         counts = ExpectedCounts(n1=np.array([[2.5]]), nt=np.array([10.0]))
-        phi = phi_residuals([ItemParams(a=1, b=0)], counts, normal_grid(1))
+        phi = phi_residuals(prob_of([ItemParams(a=1, b=0)], normal_grid(1)), counts)
         np.testing.assert_allclose(phi, [[-10.0]], rtol=1e-12)
 

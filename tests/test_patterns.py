@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from emirt import patterns
-from emirt.expectation import expected_counts, posterior
-from emirt.model import ItemParams
+from emirt.expectation import expected_counts, posterior, response_prob_matrix
 from emirt.patterns import IngestionError, load_response_csv, tabulate
 from emirt.quadrature import normal_grid
 
@@ -91,8 +90,9 @@ class TestTabulate:
 def estep_item_totals(data):
     """N1_j from the E-step: at one node every posterior row is 1, so the
     expected correct count of item j is its number of correct responses."""
-    params = [ItemParams(a=1.0, b=0.0)] * data.n_items
-    post, _ = posterior(data, params, normal_grid(1))
+    grid = normal_grid(1)
+    n = data.n_items
+    post, _ = posterior(data, response_prob_matrix(np.ones(n), np.zeros(n), grid), grid)
     return expected_counts(data, post).n1[:, 0]
 
 
@@ -207,6 +207,25 @@ class TestLoaderDifferential:
         path.write_bytes(LOADER_INPUTS[name])
         want = _outcome(lambda p: patterns._parse_csv(p.read_bytes(), p), path)
         assert _outcome(load_response_csv, path) == want
+
+    @pytest.mark.parametrize(
+        "name, want", [("utf8_bom", [[1, 0], [0, 1]]), ("utf8_bom_header", [[0, 1]])]
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, name, want):
+        """Both parsers read past a leading UTF-8 BOM; the differential test
+        above cannot see a fault that the two parsers share."""
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(LOADER_INPUTS[name])
+        np.testing.assert_array_equal(load_response_csv(path), want)
+        np.testing.assert_array_equal(patterns._parse_strict(path.read_bytes()), want)
+        np.testing.assert_array_equal(patterns._parse_csv(path.read_bytes(), path), want)
+
+    def test_byte_order_mark_keeps_error_locations(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,0\n1,7\n")
+        with pytest.raises(IngestionError) as err:
+            load_response_csv(path)
+        assert (err.value.row, err.value.col) == (2, 2)
 
     def test_strict_file_never_reaches_csv_reader(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

@@ -92,3 +92,13 @@ class TestNormalGrid:
     def test_propagates_invalid_order(self):
         with pytest.raises(ValueError):
             normal_grid(0)
+
+    @pytest.mark.parametrize("n", [1, 4, MAX_POINTS])
+    def test_grid_is_built_once_and_stays_read_only(self, n):
+        grid = normal_grid(n)
+        assert normal_grid(n) is grid
+        for arr in (grid.nodes, grid.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(AttributeError):
+            grid.nodes = np.zeros(n)

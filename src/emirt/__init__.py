@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .em_nr import NRConfig, fit_nr
+from .em_nr import fit_nr
 from .em_ols import FitConfig, FitResult, fit
-from .model import ItemParams, ModelKind, irf, irf_grad, params_from_slope_threshold
+from .model import ItemParams, ModelKind, irf, irf_grad
 from .patterns import PatternData, load_response_csv, tabulate
 from .quadrature import QuadratureGrid, normal_grid
 from .simgen import StudyDesign, StudySummary, generate, quad_study, replicate_study
@@ -15,7 +15,6 @@ __all__ = [
     "FitResult",
     "ItemParams",
     "ModelKind",
-    "NRConfig",
     "PatternData",
     "QuadratureGrid",
     "StudyDesign",
@@ -27,7 +26,6 @@ __all__ = [
     "irf_grad",
     "load_response_csv",
     "normal_grid",
-    "params_from_slope_threshold",
     "quad_study",
     "replicate_study",
     "tabulate",

@@ -286,24 +286,6 @@ def write_study_csv(path: Path, summary: StudySummary, manifest_name: str) -> No
             )
 
 
-def read_study_csv(path: Path) -> list[dict]:
-    """Parse an emitted study CSV back into typed row dicts."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        records = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header, body = records[0], records[1:]
-    if tuple(header) != STUDY_CSV_COLUMNS:
-        raise ValueError(f"unexpected study CSV header: {header}")
-    for record in body:
-        row = dict(zip(header, record))
-        for key in ("item", "n_quads", "outliers", "reps"):
-            row[key] = int(row[key])
-        for key in ("true_a", "true_b", "mean_a", "mean_b", "rmse_a", "rmse_b"):
-            row[key] = float(row[key])
-        rows.append(row)
-    return rows
-
-
 def _summary_json(summary: StudySummary) -> dict:
     design = summary.design
     return {

@@ -11,8 +11,6 @@ iteration on all items at once; no finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expectation
@@ -27,29 +25,14 @@ from .quadrature import QuadratureGrid
 # curvature sits at one node), so the item counts as singular.
 _DET_RTOL = 1e-14
 
+# Inner Newton loop controls of nr_mstep.
+INNER_MAX_ITER = 50
+INNER_TOL = 1e-8
+STEP_HALVING_MAX = 20
+
 
 class MonotonicityViolationError(RuntimeError):
     """The observed log-likelihood decreased during a Newton-Raphson EM fit."""
-
-
-@dataclass(frozen=True)
-class NRConfig(FitConfig):
-    """FitConfig plus the inner Newton loop controls.
-
-    An item's Newton loop stops once the norm of its score in (a, b)
-    (b alone for the 1PL) falls below inner_tol.
-    """
-
-    inner_max_iter: int = 50
-    inner_tol: float = 1e-8
-    step_halving_max: int = 20
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.inner_max_iter < 1:
-            raise ValueError(f"inner_max_iter must be >= 1, got {self.inner_max_iter}")
-        if not self.inner_tol > 0:
-            raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
 
 
 def _score(
@@ -93,17 +76,17 @@ def nr_mstep(
     b: np.ndarray,
     counts: ExpectedCounts,
     grid: QuadratureGrid,
-    cfg: NRConfig,
     model: ModelKind,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton-Raphson (IRLS) maximization of every item's Q1 in (a, tau).
 
     Takes and returns (J,) arrays a and b.  The 1PL keeps a fixed and
     updates tau alone.  A step that lowers an item's Q1 by more than the
-    rounding noise of Q1 itself is halved, up to cfg.step_halving_max
-    times.  An item stops when its (a, b) score norm falls below
-    cfg.inner_tol, when no halved step is accepted, or when its Hessian is
-    singular (curvature underflowed at saturated nodes).
+    rounding noise of Q1 itself is halved, up to STEP_HALVING_MAX
+    times.  An item stops after INNER_MAX_ITER steps, when its (a, b) score
+    norm (b alone for the 1PL) falls below INNER_TOL, when no halved step is
+    accepted, or when its Hessian is singular (curvature underflowed at
+    saturated nodes).
     """
     theta, n1, nt = grid.nodes, counts.n1, counts.nt
     n0 = nt[None, :] - n1
@@ -123,7 +106,7 @@ def nr_mstep(
     active = np.ones(len(a), dtype=bool)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(cfg.inner_max_iter):
+        for _ in range(INNER_MAX_ITER):
             g_a, g_tau = _score(prob, n1, nt, theta)
             i_aa, i_at, i_tt = _information(prob, nt, theta)
             if two_pl:
@@ -138,13 +121,13 @@ def nr_mstep(
                 solvable = i_tt > 0
                 step_a = np.zeros_like(a)
                 step_tau = g_tau / i_tt
-            active &= (norm >= cfg.inner_tol) & solvable
+            active &= (norm >= INNER_TOL) & solvable
             if not active.any():
                 break
 
             pending = active.copy()
             step = 1.0
-            for _ in range(cfg.step_halving_max + 1):
+            for _ in range(STEP_HALVING_MAX + 1):
                 a_try = np.where(pending, a + step * step_a, a)
                 tau_try = np.where(pending, tau + step * step_tau, tau)
                 prob_try = prob_at(a_try, tau_try)
@@ -164,7 +147,7 @@ def nr_mstep(
 
 
 def fit_nr(
-    data: PatternData, cfg: NRConfig, callback: IterationCallback | None = None
+    data: PatternData, cfg: FitConfig, callback: IterationCallback | None = None
 ) -> FitResult:
     """EM fit with the Newton-Raphson M-step.
 
@@ -175,14 +158,10 @@ def fit_nr(
 
     def make_mstep(grid):
         def mstep(a, b, counts):
-            return (*nr_mstep(a, b, counts, grid, cfg, cfg.model), False)  # no item flags
+            return (*nr_mstep(a, b, counts, grid, cfg.model), False)  # no item flags
 
         return mstep
 
-    def enforce_ascent(ll_old, ll_new, iteration):
-        raise MonotonicityViolationError(
-            f"log-likelihood fell from {ll_old:.10g} to {ll_new:.10g} "
-            f"at iteration {iteration}"
-        )
-
-    return _run_em(data, cfg, make_mstep, enforce_ascent=enforce_ascent, callback=callback)
+    return _run_em(
+        data, cfg, make_mstep, ascent_error=MonotonicityViolationError, callback=callback
+    )

@@ -39,7 +39,6 @@ def log_odds_cap(grid: QuadratureGrid) -> float:
     return Y_CAP_BASE * span / _REFERENCE_SPAN
 
 
-EPS_Y = 1.0 / (1.0 + math.exp(Y_CAP_BASE))
 # Sentinel difficulty magnitude reported when the slope degenerates.
 B_CAP = 1e3
 
@@ -63,7 +62,7 @@ class LatentResponseTable:
     """Log-odds of expected correct proportions per item and node.
 
     clamped marks cells where the proportion clamp was active, i.e. the
-    log-odds value is a saturated ±logit(EPS_Y) rather than a measurement.
+    log-odds value is a saturated ±log_odds_cap rather than a measurement.
     """
 
     y: np.ndarray
@@ -78,8 +77,6 @@ class FitConfig:
     n_quads: int | None = None  # default: 2 for the 1PL, 4 for the 2PL
     max_iter: int = 500
     tol: float = 1e-4
-    start_a: float = 1.0
-    start_b: float = 0.0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -127,7 +124,7 @@ class FitResult:
         return self.phi_max_trace[-1] if self.phi_max_trace else math.nan
 
 
-def latent_responses(counts: ExpectedCounts, eps: float = EPS_Y) -> LatentResponseTable:
+def latent_responses(counts: ExpectedCounts, eps: float) -> LatentResponseTable:
     """Log-odds y_jt = logit(N1_jt / N_t) with the proportion clamp applied."""
     if (counts.nt <= 0).any():
         raise DegenerateNodeError(int(np.argmax(counts.nt <= 0)))
@@ -190,7 +187,7 @@ def _run_em(
     data: PatternData,
     cfg: FitConfig,
     make_mstep,
-    enforce_ascent,
+    ascent_error: type[Exception] | None,
     callback: IterationCallback | None = None,
 ) -> FitResult:
     """Generic EM loop shared by the OLS and Newton-Raphson M-steps.
@@ -198,18 +195,16 @@ def _run_em(
     Works on (J,) float64 arrays a and b.  make_mstep(grid) returns
     mstep(a, b, counts) -> (new_a, new_b, degenerate), the last marking
     items to flag DEGENERATE_SLOPE; a non-finite or zero estimate raises
-    ItemParams' ValueError.  enforce_ascent(ll_old, ll_new, iteration) may
-    raise when the trace regresses.  Each visited parameter set gets one
-    clamped probability matrix, shared by its phi residuals and its
-    E-step, and one pattern likelihood pass, whose normaliser gives the
-    observed log-likelihood.
+    ItemParams' ValueError.  A log-likelihood decrease raises ascent_error
+    unless it is None.  The fit starts at a = 1, b = 0.  Each visited
+    parameter set gets one clamped probability matrix, shared by its phi
+    residuals and its E-step, and one pattern likelihood pass, whose
+    normaliser gives the observed log-likelihood.
     """
     grid = normal_grid(cfg.resolved_quads)
     mstep = make_mstep(grid)
-    a0 = 1.0 if cfg.model is ModelKind.ONE_PL else cfg.start_a
-    a = np.full(data.n_items, a0, dtype=np.float64)
-    b = np.full(data.n_items, cfg.start_b, dtype=np.float64)
-    _check_params(a, b)
+    a = np.ones(data.n_items)
+    b = np.zeros(data.n_items)
     flagged = np.zeros(data.n_items, dtype=bool)
 
     prob = expectation.response_prob_matrix(a, b, grid)
@@ -241,8 +236,11 @@ def _run_em(
         post, ll = expectation.posterior(data, prob, grid)
         if ll < loglik_trace[-1] - 1e-8:
             decreases += 1
-            if enforce_ascent is not None:
-                enforce_ascent(loglik_trace[-1], ll, iteration)
+            if ascent_error is not None:
+                raise ascent_error(
+                    f"log-likelihood fell from {loglik_trace[-1]:.10g} to {ll:.10g} "
+                    f"at iteration {iteration}"
+                )
         loglik_trace.append(ll)
 
         a, b = new_a, new_b
@@ -283,4 +281,4 @@ def fit(
 
         return mstep
 
-    return _run_em(data, cfg, make_mstep, enforce_ascent=None, callback=callback)
+    return _run_em(data, cfg, make_mstep, ascent_error=None, callback=callback)

@@ -9,18 +9,6 @@ from dataclasses import dataclass
 A_MIN = 1e-6
 
 
-class DegenerateSlopeError(ValueError):
-    """Raised when a threshold cannot be converted to a difficulty."""
-
-    def __init__(self, a: float, tau: float):
-        super().__init__(
-            f"discrimination {a!r} is too close to zero to recover a "
-            f"difficulty from threshold {tau!r}"
-        )
-        self.a = a
-        self.tau = tau
-
-
 class ModelKind(enum.Enum):
     """Model family: the 1PL fixes every discrimination at one."""
 
@@ -50,15 +38,6 @@ class ItemParams:
     @property
     def tau(self) -> float:
         return -self.a * self.b
-
-
-def params_from_slope_threshold(a: float, tau: float) -> ItemParams:
-    """Build ItemParams from the slope/threshold form, b = -tau/a."""
-    if not (math.isfinite(a) and math.isfinite(tau)):
-        raise ValueError(f"slope/threshold must be finite, got a={a}, tau={tau}")
-    if abs(a) < A_MIN:
-        raise DegenerateSlopeError(a, tau)
-    return ItemParams(a=a, b=-tau / a)
 
 
 def irf(p: ItemParams, theta: float) -> float:

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import em_nr, em_ols
 from .em_ols import DEGENERATE_SLOPE, FitConfig
-from .em_nr import NRConfig
 from .expectation import logistic
 from .model import ItemParams, ModelKind
 from .patterns import tabulate
@@ -127,24 +126,24 @@ def generate(
     return (rng.random(prob.shape) < prob).astype(np.uint8)
 
 
-def outlier_verdicts(
-    p: ItemParams, model: ModelKind, degenerate: bool = False
-) -> tuple[bool, bool]:
-    """Whether the discrimination and the difficulty of an estimate are outliers.
+def outlier_verdicts(a, b, model: ModelKind, degenerate=False):
+    """Whether discriminations a and difficulties b are outliers, elementwise.
 
     Difficulties with |b| >= 5 are outliers for both models; the 2PL
     additionally rejects discriminations outside (0.1, 3).  A degenerate
-    OLS slope makes both parameters outliers.
+    OLS slope makes both parameters outliers.  Takes floats or arrays and
+    returns the pair of verdicts (for a, for b) in their broadcast shape.
     """
     a_out = model is ModelKind.TWO_PL and (
-        p.a <= A_OUTLIER_LOW or p.a >= A_OUTLIER_HIGH
+        (a <= A_OUTLIER_LOW) | (a >= A_OUTLIER_HIGH)
     )
-    return degenerate or a_out, degenerate or abs(p.b) >= B_OUTLIER_LIMIT
+    return degenerate | a_out, degenerate | (np.abs(b) >= B_OUTLIER_LIMIT)
 
 
 def is_outlier(p: ItemParams, model: ModelKind, degenerate: bool = False) -> bool:
     """Whether either parameter of an estimate is an outlier."""
-    return any(outlier_verdicts(p, model, degenerate))
+    out_a, out_b = outlier_verdicts(p.a, p.b, model, degenerate)
+    return bool(out_a | out_b)
 
 
 def resolve_workers(flag: int | None = None) -> int:
@@ -158,15 +157,11 @@ def resolve_workers(flag: int | None = None) -> int:
 
 
 def fit_estimator(data, estimator: str, cfg: FitConfig):
-    """Fit data with the named estimator ("ols" or "nr") under cfg's settings.
-
-    An NR fit copies cfg's fields into an NRConfig, so inner Newton
-    controls that cfg lacks keep their defaults.
-    """
+    """Fit data with the named estimator ("ols" or "nr") under cfg's settings."""
     if estimator == "ols":
         return em_ols.fit(data, cfg)
     if estimator == "nr":
-        return em_nr.fit_nr(data, NRConfig(**vars(cfg)))
+        return em_nr.fit_nr(data, cfg)
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -237,17 +232,8 @@ def _aggregate(
             for j, truth in enumerate(design.true_params):
                 a_vals = np.array([r.a_hat[j] for r in cell])
                 b_vals = np.array([r.b_hat[j] for r in cell])
-                out_a, out_b = np.array(
-                    [
-                        outlier_verdicts(
-                            ItemParams(a=r.a_hat[j], b=r.b_hat[j]),
-                            design.model,
-                            r.degenerate[j],
-                        )
-                        for r in cell
-                    ],
-                    dtype=bool,
-                ).reshape(-1, 2).T
+                degenerate = np.array([r.degenerate[j] for r in cell], dtype=bool)
+                out_a, out_b = outlier_verdicts(a_vals, b_vals, design.model, degenerate)
                 out_mask = out_a | out_b
                 kept_a = a_vals[~out_mask]
                 kept_b = b_vals[~out_mask]

@@ -10,7 +10,7 @@ import pytest
 
 from emirt import expectation
 from emirt.cli import main
-from emirt.em_nr import NRConfig, fit_nr, item_score
+from emirt.em_nr import fit_nr, item_score
 from emirt.em_ols import FitConfig, fit
 from emirt.model import ItemParams, ModelKind, irf, irf_grad
 from emirt.patterns import tabulate
@@ -120,7 +120,7 @@ def _parity_instances():
         ]
         data = tabulate(generate(truth, 5000, data_seed))
         ols = fit(data, FitConfig(model=ModelKind.TWO_PL, n_quads=4))
-        nr = fit_nr(data, NRConfig(model=ModelKind.TWO_PL, n_quads=4))
+        nr = fit_nr(data, FitConfig(model=ModelKind.TWO_PL, n_quads=4))
         results.append((data, ols, nr))
     return results
 
@@ -261,7 +261,7 @@ def random_instance_fits():
             )
 
         ols = fit(data, FitConfig(model=model), callback=probe)
-        nr = fit_nr(data, NRConfig(model=model), callback=probe)
+        nr = fit_nr(data, FitConfig(model=model), callback=probe)
         runs.append((data, ols, nr, probes))
     return runs
 

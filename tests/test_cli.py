@@ -1,12 +1,30 @@
 """Tests for the command-line interface and its file formats."""
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from emirt.cli import main, read_study_csv
+from emirt.cli import STUDY_CSV_COLUMNS, main
 from emirt.model import ItemParams
 from emirt.simgen import generate
+
+
+def read_study_csv(path):
+    """Parse an emitted study CSV back into typed row dicts."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    header, body = records[0], records[1:]
+    assert tuple(header) == STUDY_CSV_COLUMNS
+    for record in body:
+        row = dict(zip(header, record))
+        for key in ("item", "n_quads", "outliers", "reps"):
+            row[key] = int(row[key])
+        for key in ("true_a", "true_b", "mean_a", "mean_b", "rmse_a", "rmse_b"):
+            row[key] = float(row[key])
+        rows.append(row)
+    return rows
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emirt import em_nr
-from emirt.em_nr import NRConfig, _information, _score, fit_nr, item_score, nr_mstep
+from emirt.em_nr import _information, _score, fit_nr, item_score, nr_mstep
 from emirt.em_ols import FitConfig, fit
 from emirt.expectation import ExpectedCounts, logistic, q1, response_prob_matrix
 from emirt.model import ItemParams, ModelKind, irf
@@ -17,11 +17,11 @@ from emirt.simgen import generate
 SIG1 = 1.0 / (1.0 + math.exp(-1.0))
 
 
-def mstep_params(params, counts, grid, cfg, model):
+def mstep_params(params, counts, grid, model):
     """nr_mstep on a list of ItemParams, returned as ItemParams."""
     a = np.array([p.a for p in params])
     b = np.array([p.b for p in params])
-    return [ItemParams(a=x, b=y) for x, y in zip(*nr_mstep(a, b, counts, grid, cfg, model))]
+    return [ItemParams(a=x, b=y) for x, y in zip(*nr_mstep(a, b, counts, grid, model))]
 
 
 def q1_at(a, b, counts, grid):
@@ -107,24 +107,22 @@ class TestNewtonItem:
         grid = normal_grid(4)
         nt = np.array([4.0, 20.0, 20.0, 4.0])
         n1 = nt * np.array([irf(p, t) for t in grid.nodes])
-        cfg = NRConfig(model=ModelKind.TWO_PL)
-        assert score_norm(p, n1, nt, grid) < cfg.inner_tol
+        assert score_norm(p, n1, nt, grid) < em_nr.INNER_TOL
         counts = ExpectedCounts(n1=n1[None, :], nt=nt)
-        (updated,) = mstep_params([p], counts, grid, cfg, ModelKind.TWO_PL)
+        (updated,) = mstep_params([p], counts, grid, ModelKind.TWO_PL)
         assert updated.a == pytest.approx(p.a, abs=1e-12)
         assert updated.b == pytest.approx(p.b, abs=1e-12)
 
     def test_one_pl_inverts_the_logistic(self):
         # P must equal 0.731 at the single node, so b = -logit(0.731)
-        cfg = NRConfig(model=ModelKind.ONE_PL)
         counts = ExpectedCounts(n1=np.array([[7.31]]), nt=np.array([10.0]))
         (updated,) = mstep_params(
-            [ItemParams(a=1, b=0)], counts, single_node_grid(), cfg, ModelKind.ONE_PL
+            [ItemParams(a=1, b=0)], counts, single_node_grid(), ModelKind.ONE_PL
         )
         assert updated.a == 1.0
         assert updated.b == pytest.approx(-math.log(0.731 / 0.269), abs=1e-9)
 
-    def test_superlinear_score_decay(self):
+    def test_superlinear_score_decay(self, monkeypatch):
         """The score norm falls quadratically: |s_k+1| < |s_k|^2 here."""
         p_true = ItemParams(a=1.4, b=0.6)
         grid = normal_grid(5)
@@ -132,9 +130,10 @@ class TestNewtonItem:
         n1 = nt * np.array([irf(p_true, t) for t in grid.nodes])
         counts = ExpectedCounts(n1=n1[None, :], nt=nt)
         norms = []
+        monkeypatch.setattr(em_nr, "INNER_TOL", 1e-12)
         for steps in range(1, 6):
-            cfg = NRConfig(model=ModelKind.TWO_PL, inner_max_iter=steps, inner_tol=1e-12)
-            (p,) = mstep_params([ItemParams(a=1, b=0)], counts, grid, cfg, ModelKind.TWO_PL)
+            monkeypatch.setattr(em_nr, "INNER_MAX_ITER", steps)
+            (p,) = mstep_params([ItemParams(a=1, b=0)], counts, grid, ModelKind.TWO_PL)
             norms.append(score_norm(p, n1, nt, grid))
         tail = [n for n in norms if n > 1e-9]
         assert len(tail) >= 3
@@ -151,14 +150,13 @@ class TestNewtonItem:
         Q1 unchanged while moving (a, b) arbitrarily far.
         """
         grid = normal_grid(n_quads)
-        cfg = NRConfig(model=ModelKind.TWO_PL)
         p = ItemParams(a=1.3, b=-0.4)
         for node in range(n_quads):
             for share, mass in itertools.product((0.1, 0.5, 0.9), (3.0, 10.0, 77.7)):
                 nt = np.zeros(n_quads)
                 nt[node] = mass
                 counts = ExpectedCounts(n1=share * nt[None, :], nt=nt)
-                (updated,) = mstep_params([p], counts, grid, cfg, ModelKind.TWO_PL)
+                (updated,) = mstep_params([p], counts, grid, ModelKind.TWO_PL)
                 assert math.isfinite(updated.a) and math.isfinite(updated.b)
                 assert updated.a == pytest.approx(p.a, abs=1e-12)
                 assert updated.b == pytest.approx(p.b, abs=1e-12)
@@ -170,12 +168,11 @@ class TestNewtonItem:
         nt = rng.uniform(50, 400, 4)
         n1 = nt * rng.uniform(0.1, 0.9, (3, 4))
         counts = ExpectedCounts(n1=n1, nt=nt)
-        cfg = NRConfig(model=ModelKind.TWO_PL)
         start = [ItemParams(a=1.0, b=0.0)] * 3
-        together = mstep_params(start, counts, grid, cfg, ModelKind.TWO_PL)
+        together = mstep_params(start, counts, grid, ModelKind.TWO_PL)
         for j in range(3):
             alone = ExpectedCounts(n1=n1[j : j + 1], nt=nt)
-            (p,) = mstep_params(start[:1], alone, grid, cfg, ModelKind.TWO_PL)
+            (p,) = mstep_params(start[:1], alone, grid, ModelKind.TWO_PL)
             # products over a different number of rows may round differently
             assert p.a == pytest.approx(together[j].a, rel=1e-12)
             assert p.b == pytest.approx(together[j].b, rel=1e-12)
@@ -185,7 +182,7 @@ class TestFitNr:
     def test_monotone_ascent_and_convergence(self):
         truth = [ItemParams(a=1.0, b=-0.8), ItemParams(a=1.3, b=0.9)]
         data = tabulate(generate(truth, 2500, 31))
-        result = fit_nr(data, NRConfig(model=ModelKind.TWO_PL))
+        result = fit_nr(data, FitConfig(model=ModelKind.TWO_PL))
         assert result.converged
         assert result.loglik_decreases == 0
         diffs = np.diff(result.loglik_trace)
@@ -194,7 +191,7 @@ class TestFitNr:
     def test_fixed_point_input(self):
         matrix = [[1]] * 10 + [[0]] * 10
         data = tabulate(matrix)
-        result = fit_nr(data, NRConfig(model=ModelKind.ONE_PL, n_quads=2))
+        result = fit_nr(data, FitConfig(model=ModelKind.ONE_PL, n_quads=2))
         assert result.converged
         assert result.iterations == 1
         assert result.params[0].b == pytest.approx(0.0, abs=1e-9)
@@ -202,7 +199,7 @@ class TestFitNr:
     def test_agrees_with_ols_on_moderate_data(self):
         truth = [ItemParams(a=1.0, b=b) for b in (-1.0, 0.0, 1.0)]
         data = tabulate(generate(truth, 4000, 77))
-        nr = fit_nr(data, NRConfig(model=ModelKind.ONE_PL))
+        nr = fit_nr(data, FitConfig(model=ModelKind.ONE_PL))
         ols = fit(data, FitConfig(model=ModelKind.ONE_PL))
         for p_nr, p_ols in zip(nr.params, ols.params):
             assert abs(p_nr.b - p_ols.b) < 0.05
@@ -212,7 +209,7 @@ class TestFitNr:
     def test_nr_loglik_not_worse_than_ols(self):
         truth = [ItemParams(a=0.9, b=0.2), ItemParams(a=1.5, b=-1.1)]
         data = tabulate(generate(truth, 3000, 13))
-        nr = fit_nr(data, NRConfig(model=ModelKind.TWO_PL))
+        nr = fit_nr(data, FitConfig(model=ModelKind.TWO_PL))
         ols = fit(data, FitConfig(model=ModelKind.TWO_PL))
         assert nr.final_loglik >= ols.final_loglik - 1e-6
 
@@ -222,7 +219,7 @@ class TestFitNr:
         estimates = []
         for seed in np.random.SeedSequence(88).spawn(25):
             data = tabulate(generate(truth, 5000, seed))
-            result = fit_nr(data, NRConfig(model=ModelKind.ONE_PL, n_quads=2))
+            result = fit_nr(data, FitConfig(model=ModelKind.ONE_PL, n_quads=2))
             assert result.converged
             estimates.append([p.b for p in result.params])
         means = np.mean(estimates, axis=0)
@@ -233,23 +230,12 @@ class TestFitNr:
         truth = [ItemParams(a=1.0, b=0.3)]
         data = tabulate(generate(truth, 500, 2))
 
-        def sabotage(a, b, counts, grid, cfg, model):
+        def sabotage(a, b, counts, grid, model):
             return a, b + 3.0
 
         monkeypatch.setattr(em_nr, "nr_mstep", sabotage)
-        with pytest.raises(em_nr.MonotonicityViolationError):
-            fit_nr(data, NRConfig(model=ModelKind.ONE_PL))
+        with pytest.raises(
+            em_nr.MonotonicityViolationError, match=r"fell from .* to .* at iteration \d+$"
+        ):
+            fit_nr(data, FitConfig(model=ModelKind.ONE_PL))
 
-
-class TestNRConfigValidation:
-    def test_rejects_bad_inner_iter(self):
-        with pytest.raises(ValueError):
-            NRConfig(model=ModelKind.ONE_PL, inner_max_iter=0)
-
-    def test_rejects_bad_inner_tol(self):
-        with pytest.raises(ValueError):
-            NRConfig(model=ModelKind.ONE_PL, inner_tol=0.0)
-
-    def test_inherits_fit_config_checks(self):
-        with pytest.raises(ValueError):
-            NRConfig(model=ModelKind.TWO_PL, n_quads=1)

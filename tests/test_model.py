@@ -4,14 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from emirt.model import (
-    A_MIN,
-    DegenerateSlopeError,
-    ItemParams,
-    irf,
-    irf_grad,
-    params_from_slope_threshold,
-)
+from emirt.model import ItemParams, irf, irf_grad
 
 
 def central_difference(a, b, theta, wrt, h=1e-6):
@@ -29,6 +22,12 @@ class TestItemParams:
     def test_tau_is_negative_ab(self):
         p = ItemParams(a=2.0, b=1.5)
         assert p.tau == -3.0
+
+    @pytest.mark.parametrize(
+        "a,tau,expected_b", [(1.0, 0.0, 0.0), (2.0, -2.0, 1.0), (0.5, 1.5, -3.0)]
+    )
+    def test_threshold_form(self, a, tau, expected_b):
+        np.testing.assert_allclose(ItemParams(a=a, b=expected_b).tau, tau, atol=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0.3, -3.0), (1.0, 0.0), (2.0, 3.0), (0.5, -1.7)])
     def test_parametrizations_consistent(self, a, b):
@@ -107,23 +106,3 @@ class TestIrfGrad:
             fd_b = central_difference(a, b, theta, "b")
             assert abs(fd_a - da) <= 1e-6 * max(abs(da), 1e-8)
             assert abs(fd_b - db) <= 1e-6 * max(abs(db), 1e-8)
-
-
-class TestSlopeThreshold:
-    @pytest.mark.parametrize(
-        "a,tau,expected_b", [(1.0, 0.0, 0.0), (2.0, -2.0, 1.0), (0.5, 1.5, -3.0)]
-    )
-    def test_conversion(self, a, tau, expected_b):
-        p = params_from_slope_threshold(a, tau)
-        np.testing.assert_allclose(p.b, expected_b, rtol=1e-14)
-        np.testing.assert_allclose(p.tau, tau, atol=1e-12)
-
-    def test_degenerate_slope_carries_values(self):
-        with pytest.raises(DegenerateSlopeError) as err:
-            params_from_slope_threshold(A_MIN / 2, 1.2)
-        assert err.value.a == A_MIN / 2
-        assert err.value.tau == 1.2
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            params_from_slope_threshold(math.nan, 0.0)

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from emirt.em_nr import NRConfig, fit_nr
+from emirt.em_nr import fit_nr
 from emirt.em_ols import FitConfig, fit
 from emirt.model import ItemParams, ModelKind
 from emirt.patterns import tabulate
 from emirt.simgen import generate, is_outlier
 
-ESTIMATORS = {"ols": (fit, FitConfig), "nr": (fit_nr, NRConfig)}
+ESTIMATORS = {"ols": fit, "nr": fit_nr}
 CASES = [(e, m) for e in ESTIMATORS for m in ModelKind]
 CASE_IDS = [f"{e}-{m.value}" for e, m in CASES]
 
@@ -48,8 +48,7 @@ def designs(draw, model):
 
 
 def run(estimator, model, matrix, n_quads):
-    fitter, config = ESTIMATORS[estimator]
-    return fitter(tabulate(matrix), config(model=model, n_quads=n_quads))
+    return ESTIMATORS[estimator](tabulate(matrix), FitConfig(model=model, n_quads=n_quads))
 
 
 def estimates(result):

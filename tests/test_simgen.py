@@ -4,12 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from emirt.em_nr import fit_nr
+from emirt.em_ols import FitConfig, fit
 from emirt.model import ItemParams, ModelKind
+from emirt.patterns import tabulate
 from emirt.simgen import (
     DEFAULT_QUAD_SWEEP,
     DEFAULT_TRUE_A,
     DEFAULT_TRUE_B,
     StudyDesign,
+    fit_estimator,
     generate,
     is_outlier,
     outlier_verdicts,
@@ -67,12 +71,42 @@ class TestIsOutlier:
 
     def test_verdicts_per_parameter(self):
         two_pl = ModelKind.TWO_PL
-        assert outlier_verdicts(ItemParams(a=1, b=0), two_pl) == (False, False)
-        assert outlier_verdicts(ItemParams(a=4, b=0), two_pl) == (True, False)
-        assert outlier_verdicts(ItemParams(a=1, b=-6), two_pl) == (False, True)
-        assert outlier_verdicts(ItemParams(a=4, b=6), two_pl) == (True, True)
-        assert outlier_verdicts(ItemParams(a=1, b=0), two_pl, degenerate=True) == (True, True)
-        assert outlier_verdicts(ItemParams(a=4, b=0), ModelKind.ONE_PL) == (False, False)
+        assert outlier_verdicts(1.0, 0.0, two_pl) == (False, False)
+        assert outlier_verdicts(4.0, 0.0, two_pl) == (True, False)
+        assert outlier_verdicts(1.0, -6.0, two_pl) == (False, True)
+        assert outlier_verdicts(4.0, 6.0, two_pl) == (True, True)
+        assert outlier_verdicts(1.0, 0.0, two_pl, degenerate=True) == (True, True)
+        assert outlier_verdicts(4.0, 0.0, ModelKind.ONE_PL) == (False, False)
+
+    @pytest.mark.parametrize("model", [ModelKind.ONE_PL, ModelKind.TWO_PL])
+    def test_verdicts_are_elementwise(self, model):
+        a = np.array([1.0, 4.0, 1.0, 0.05, 1.0])
+        b = np.array([0.0, 0.0, -6.0, 0.0, 0.0])
+        degenerate = np.array([False, False, False, False, True])
+        out_a, out_b = outlier_verdicts(a, b, model, degenerate)
+        expected = [outlier_verdicts(x, y, model, d) for x, y, d in zip(a, b, degenerate)]
+        np.testing.assert_array_equal(np.stack([out_a, out_b], axis=1), expected)
+
+
+class TestFitEstimator:
+    """fit_estimator hands its FitConfig unchanged to either estimator."""
+
+    TRUTH = (ItemParams(a=0.8, b=-0.6), ItemParams(a=1.4, b=0.7))
+
+    @pytest.mark.parametrize("estimator", ["ols", "nr"])
+    def test_max_iter_reaches_the_estimator(self, estimator):
+        data = tabulate(generate(self.TRUTH, 800, 4))
+        result = fit_estimator(data, estimator, FitConfig(model=ModelKind.TWO_PL, max_iter=3))
+        assert result.iterations == 3
+        assert result.converged is False
+
+    @pytest.mark.parametrize("estimator, fitter", [("ols", fit), ("nr", fit_nr)])
+    def test_result_equals_the_direct_fit(self, estimator, fitter):
+        data = tabulate(generate(self.TRUTH, 800, 4))
+        cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=7, tol=1e-2)
+        result = fit_estimator(data, estimator, cfg)
+        assert result == fitter(data, cfg)
+        assert result != fitter(data, FitConfig(model=ModelKind.TWO_PL))
 
 
 class TestResolveWorkers:

@@ -27,7 +27,7 @@ from .model import ItemParams, ModelKind
 from .patterns import IngestionError, load_response_csv, tabulate
 from .simgen import StudyDesign, StudySummary, is_outlier
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 STUDY_CSV_COLUMNS = (
     "item",
@@ -131,10 +131,12 @@ def _fit_block(result: FitResult, model: ModelKind, estimator: str) -> dict:
         "iterations": result.iterations,
         "loglik": result.final_loglik,
         "phi_max": result.final_phi_max,
+        "loglik_decreases": result.loglik_decreases,
         "items": items,
         "trace": {
             "loglik": result.loglik_trace,
             "max_delta": result.max_delta_trace,
+            "phi_max": result.phi_max_trace,
         },
     }
 

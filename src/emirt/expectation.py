@@ -60,19 +60,40 @@ def response_prob_matrix(a: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> 
     return clamp_prob(logistic(z))
 
 
-def _pattern_logliks(data: PatternData, prob: np.ndarray) -> np.ndarray:
-    """log P(X | theta_t) for every pattern X and node t, shape (P, T)."""
+# Rows of the pattern table per E-step block.  A block of 2048 x 30 float64
+# patterns, its complement and its (2048, T) intermediates stay within a
+# 2 MiB L2 cache; a table of at most BLOCK_ROWS patterns is one block.
+BLOCK_ROWS = 2048
+
+
+def _log_normalisers(
+    data: PatternData, prob: np.ndarray, grid: QuadratureGrid, post: np.ndarray | None = None
+) -> np.ndarray:
+    """log sum_t P(X|theta_t) A_t for every pattern X, shape (P,).
+
+    Works over row blocks of the pattern table: each block's log joint
+    log P(X|theta_t) + log A_t is reduced with log-sum-exp, and, when a
+    (P, T) post is given, normalised into its rows of post.
+    """
     if len(prob) != data.n_items:
         raise ValueError(f"expected {data.n_items} item parameters, got {len(prob)}")
     log_p = np.log(prob)
     log_q = np.log1p(-prob)
     x = data.float_patterns
-    return x @ log_p + (1.0 - x) @ log_q
-
-
-def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    peak = np.maximum.reduce(m, axis=1, keepdims=True)
-    return (peak + np.log(np.add.reduce(np.exp(m - peak), axis=1, keepdims=True))).ravel()
+    norm = np.empty(data.n_patterns)
+    for start in range(0, data.n_patterns, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        x_b = x[rows]
+        log_joint = x_b @ log_p
+        log_joint += (1.0 - x_b) @ log_q
+        log_joint += grid.log_weights
+        peak = np.maximum.reduce(log_joint, axis=1, keepdims=True)
+        norm_b = peak + np.log(np.add.reduce(np.exp(log_joint - peak), axis=1, keepdims=True))
+        norm[rows] = norm_b.ravel()
+        if post is not None:
+            log_joint -= norm_b
+            np.exp(log_joint, out=post[rows])
+    return norm
 
 
 def posterior(
@@ -88,22 +109,33 @@ def posterior(
     to observed_loglik at the same parameters.  Raises
     PosteriorUnderflowError when a pattern's likelihood underflows.
     """
+    post = np.empty((data.n_patterns, grid.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_joint = _pattern_logliks(data, prob) + np.log(grid.weights)[None, :]
-        norm = _logsumexp_rows(log_joint)
-        loglik = float(data.freqs @ norm)
+        norm = _log_normalisers(data, prob, grid, post)
+        loglik = float(data.float_freqs @ norm)
     # norms of clamped probabilities are far from overflow: the sum is finite iff all are
     if not math.isfinite(loglik):
         raise PosteriorUnderflowError(int(np.argmin(np.isfinite(norm))))
-    return np.exp(log_joint - norm[:, None]), loglik
+    return post, loglik
 
 
 def expected_counts(data: PatternData, post: np.ndarray) -> ExpectedCounts:
-    """Expected per-node counts N1_jt and N_t from a posterior table."""
-    freqs = data.freqs.astype(np.float64)
-    nt = freqs @ post
-    weighted = data.float_patterns.T * freqs[None, :]
-    n1 = weighted @ post
+    """Expected per-node counts N1_jt and N_t from a posterior table.
+
+    The first row block of the pattern table gives the counts, and each
+    further block adds its own.
+    """
+    x, freqs = data.float_patterns, data.float_freqs
+
+    def block(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        f_b, post_b = freqs[rows], post[rows]
+        return f_b @ post_b, (x[rows].T * f_b) @ post_b
+
+    nt, n1 = block(slice(0, BLOCK_ROWS))
+    for start in range(BLOCK_ROWS, data.n_patterns, BLOCK_ROWS):
+        nt_b, n1_b = block(slice(start, start + BLOCK_ROWS))
+        nt += nt_b
+        n1 += n1_b
     return ExpectedCounts(n1=n1, nt=nt)
 
 
@@ -113,8 +145,7 @@ def observed_loglik(data: PatternData, prob: np.ndarray, grid: QuadratureGrid) -
     The EM loop takes this value from posterior(); this function computes
     it on its own and is the reference the fit traces are tested against.
     """
-    log_joint = _pattern_logliks(data, prob) + np.log(grid.weights)[None, :]
-    return float(data.freqs @ _logsumexp_rows(log_joint))
+    return float(data.float_freqs @ _log_normalisers(data, prob, grid))
 
 
 def q1(prob: np.ndarray, counts: ExpectedCounts) -> float:

@@ -57,6 +57,13 @@ class PatternData:
         x.setflags(write=False)
         return x
 
+    @cached_property
+    def float_freqs(self) -> np.ndarray:
+        """The frequencies as a read-only float64 array, built once."""
+        f = self.freqs.astype(np.float64)
+        f.setflags(write=False)
+        return f
+
 
 def tabulate(matrix) -> PatternData:
     """Collapse an N x I matrix of 0/1 responses into distinct patterns.

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -24,6 +24,14 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """log(weights) as a read-only array, built once per grid; -inf for a zero weight."""
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self.weights)
+        log_w.setflags(write=False)
+        return log_w
 
 
 def hermite_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,7 @@ class TestFit:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["manifest"]["command"] == "fit"
         assert len(payload["manifest"]["input_digest"]) == 64
         assert payload["converged"] is True
@@ -54,6 +54,12 @@ class TestFit:
         assert abs(item["b"]) < 0.2  # simulated at b=0
         assert len(payload["trace"]["loglik"]) == payload["iterations"] + 1
         assert len(payload["trace"]["max_delta"]) == payload["iterations"]
+        phi_trace = payload["trace"]["phi_max"]
+        assert len(phi_trace) == payload["iterations"]
+        assert all(isinstance(v, float) and v >= 0 for v in phi_trace)
+        assert phi_trace[-1] == payload["phi_max"]
+        assert isinstance(payload["loglik_decreases"], int)
+        assert 0 <= payload["loglik_decreases"] <= payload["iterations"]
 
     def test_more_than_62_items(self, tmp_path):
         truth = [ItemParams(a=1, b=b) for b in np.linspace(-1.5, 1.5, 70)]
@@ -75,6 +81,10 @@ class TestFit:
         assert code == 0
         payload = json.loads(out.read_text())
         assert set(payload["fits"]) == {"ols", "nr"}
+        for block in payload["fits"].values():
+            assert len(block["trace"]["phi_max"]) == block["iterations"]
+            assert isinstance(block["loglik_decreases"], int)
+        assert payload["fits"]["nr"]["loglik_decreases"] == 0  # NR raises on a decrease
         gap = payload["disagreement"]
         assert gap["max_abs_a"] >= 0
         assert gap["max_abs_b"] < 0.1

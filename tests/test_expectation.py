@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from emirt import em_nr, em_ols, expectation
+from emirt.em_ols import FitConfig
 from emirt.expectation import (
     ExpectedCounts,
     PosteriorUnderflowError,
@@ -14,9 +16,10 @@ from emirt.expectation import (
     q1,
     response_prob_matrix,
 )
-from emirt.model import ItemParams, irf
-from emirt.patterns import tabulate
+from emirt.model import ItemParams, ModelKind, irf
+from emirt.patterns import PatternData, tabulate
 from emirt.quadrature import QuadratureGrid, normal_grid
+from emirt.simgen import generate
 
 SIG1 = 1.0 / (1.0 + math.exp(-1.0))  # 0.731058...
 
@@ -233,3 +236,113 @@ class TestPhiResiduals:
         phi = phi_residuals(prob_of([ItemParams(a=1, b=0)], normal_grid(1)), counts)
         np.testing.assert_allclose(phi, [[-10.0]], rtol=1e-12)
 
+
+
+# Relative tolerance of a multi-block E-step against the whole-table
+# formulas.  BLAS sums a (rows, J) x (J, T) product in an order that depends
+# on the row count, so splitting the table into blocks moves log joints by
+# a few ulps of their magnitude, and the count sums add block by block.
+BLOCK_RTOL = 1e-12
+
+
+def reference_estep(data, prob, grid):
+    """Posterior, log-likelihood, N1 and N_t from the whole-table formulas."""
+    x = data.patterns.astype(np.float64)
+    log_joint = x @ np.log(prob) + (1.0 - x) @ np.log1p(-prob) + np.log(grid.weights)[None, :]
+    peak = np.maximum.reduce(log_joint, axis=1, keepdims=True)
+    norm = (peak + np.log(np.add.reduce(np.exp(log_joint - peak), axis=1, keepdims=True))).ravel()
+    post = np.exp(log_joint - norm[:, None])
+    freqs = data.freqs.astype(np.float64)
+    return post, float(freqs @ norm), (x.T * freqs[None, :]) @ post, freqs @ post
+
+
+def two_pl_truth(n_items):
+    return [
+        ItemParams(a=a, b=b)
+        for a, b in zip(np.linspace(0.5, 2.0, n_items), np.linspace(-2.5, 2.5, n_items))
+    ]
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    """30 items, 10,000 persons: more than two default blocks of distinct patterns."""
+    truth = two_pl_truth(30)
+    data = tabulate(generate(truth, 10_000, 21))
+    assert data.n_patterns > 2 * expectation.BLOCK_ROWS
+    grid = normal_grid(10)
+    a = np.array([p.a for p in truth]) * 0.9
+    b = np.array([p.b for p in truth]) + 0.1
+    return data, response_prob_matrix(a, b, grid), grid
+
+
+class TestBlockedEStep:
+    @pytest.mark.parametrize("block_rows", [1, 7, expectation.BLOCK_ROWS])
+    def test_matches_whole_table_formulas(self, wide_table, block_rows, monkeypatch):
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+        data, prob, grid = wide_table
+        ref_post, ref_ll, ref_n1, ref_nt = reference_estep(data, prob, grid)
+        post, ll = posterior(data, prob, grid)
+        counts = expected_counts(data, post)
+        np.testing.assert_allclose(post, ref_post, rtol=BLOCK_RTOL, atol=0)
+        np.testing.assert_allclose(ll, ref_ll, rtol=BLOCK_RTOL)
+        np.testing.assert_allclose(counts.n1, ref_n1, rtol=BLOCK_RTOL)
+        np.testing.assert_allclose(counts.nt, ref_nt, rtol=BLOCK_RTOL)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, expectation.BLOCK_ROWS])
+    def test_loglik_equals_observed_loglik(self, wide_table, block_rows, monkeypatch):
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+        data, prob, grid = wide_table
+        assert posterior(data, prob, grid)[1] == observed_loglik(data, prob, grid)
+
+    def test_one_block_is_bit_identical(self, wide_table, monkeypatch):
+        data, prob, grid = wide_table
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", data.n_patterns)
+        ref_post, ref_ll, ref_n1, ref_nt = reference_estep(data, prob, grid)
+        post, ll = posterior(data, prob, grid)
+        counts = expected_counts(data, post)
+        assert np.array_equal(post, ref_post) and ll == ref_ll
+        assert np.array_equal(counts.n1, ref_n1) and np.array_equal(counts.nt, ref_nt)
+        assert observed_loglik(data, prob, grid) == ref_ll
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_table_is_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        data = tabulate(generate(two_pl_truth(12), 5000, seed))
+        assert data.n_patterns <= expectation.BLOCK_ROWS
+        grid = normal_grid(int(rng.integers(2, 12)))
+        prob = response_prob_matrix(rng.uniform(0.3, 2.5, 12), rng.uniform(-3, 3, 12), grid)
+        ref_post, ref_ll, ref_n1, ref_nt = reference_estep(data, prob, grid)
+        post, ll = posterior(data, prob, grid)
+        counts = expected_counts(data, post)
+        assert np.array_equal(post, ref_post) and ll == ref_ll
+        assert np.array_equal(counts.n1, ref_n1) and np.array_equal(counts.nt, ref_nt)
+
+    @pytest.mark.parametrize("block_rows, index", [(7, 17), (expectation.BLOCK_ROWS, 4101)])
+    def test_underflow_reports_the_global_pattern_index(
+        self, wide_table, block_rows, index, monkeypatch
+    ):
+        """A pattern in the third block whose likelihood p**1e307 is zero at every node."""
+        assert index // block_rows == 2
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+        data, _, grid = wide_table
+        x = data.patterns.astype(np.float64)
+        x[index, 0] = 1e307
+        doomed = PatternData(patterns=x, freqs=data.freqs)
+        prob = response_prob_matrix(np.ones(30), np.full(30, 40.0), grid)  # P clamped to 1e-10
+        with pytest.raises(PosteriorUnderflowError) as err, np.errstate(over="ignore"):
+            posterior(doomed, prob, grid)
+        assert err.value.pattern_index == index
+
+    @pytest.mark.parametrize("fit_fn", [em_ols.fit, em_nr.fit_nr], ids=["ols", "nr"])
+    def test_fits_do_not_depend_on_the_block_size(self, fit_fn, monkeypatch):
+        data = tabulate(generate(two_pl_truth(12), 3000, 4))
+        assert data.n_patterns > 7
+        cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=6)
+        whole = fit_fn(data, cfg)
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", 7)
+        blocked = fit_fn(data, cfg)
+        assert blocked.iterations == whole.iterations
+        assert blocked.converged == whole.converged
+        for got, want in zip(blocked.params, whole.params):
+            np.testing.assert_allclose([got.a, got.b], [want.a, want.b], rtol=BLOCK_RTOL)
+        np.testing.assert_allclose(blocked.loglik_trace, whole.loglik_trace, rtol=BLOCK_RTOL)

@@ -220,6 +220,7 @@ def _run_em(
         counts = expectation.expected_counts(data, post)
         if callback is not None:
             callback(iteration, _item_params(a, b), post, counts)
+        del post  # the next posterior allocates its own (P, T) table
 
         new_a, new_b, degenerate = mstep(a, b, counts)
         # np.maximum keeps NaN; a finite delta from finite (a, b) means finite estimates

@@ -7,7 +7,12 @@ never produce infinities.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -65,6 +70,96 @@ def response_prob_matrix(a: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> 
 # 2 MiB L2 cache; a table of at most BLOCK_ROWS patterns is one block.
 BLOCK_ROWS = 2048
 
+# The caller and _helpers pool threads work through the blocks of a larger
+# table together; numpy's matmul, exp, log and reductions release the GIL.
+# _helpers is one less than the cores this process may use, set on first
+# use; the pool is created when it is first needed.
+_helpers: int | None = None
+_pool: ThreadPoolExecutor | None = None
+
+
+def run_blocks_inline() -> None:
+    """Run every E-step block on the calling thread from now on.
+
+    The initializer of study pool workers: those processes already occupy
+    the cores.
+    """
+    global _helpers
+    _helpers = 0
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+# Threads do not survive fork: a child that reused the parent's pool would hang.
+if hasattr(os, "register_at_fork"):  # platforms without it do not fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cores() -> int:
+    """Cores in this process's affinity mask, or all cores where there is no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(block, n_rows: int, *args) -> Sequence:
+    """[block(rows, *args) for every row block of an n_rows table], in block order.
+
+    A table of one block runs inline.  The blocks of a larger one are
+    handed out in order, one at a time, to the caller and up to _helpers
+    pool threads, each helper running under a copy of the caller's context
+    so that numpy's error state covers its blocks.  Blocks write disjoint
+    rows and the results are kept in block order, so every result is the
+    same at any thread count.
+    """
+    global _helpers, _pool
+    if n_rows <= BLOCK_ROWS:
+        return (block(slice(0, n_rows), *args),)
+    starts = range(0, n_rows, BLOCK_ROWS)
+    results = [None] * len(starts)
+    todo = enumerate(starts)
+    lock = threading.Lock()  # each block is taken by one thread
+
+    def work_through_blocks() -> None:
+        while True:
+            with lock:
+                i, start = next(todo, (None, 0))
+            if i is None:
+                return
+            results[i] = block(slice(start, start + BLOCK_ROWS), *args)
+
+    if _helpers is None:
+        _helpers = _usable_cores() - 1
+    if _helpers and _pool is None:
+        _pool = ThreadPoolExecutor(_helpers, thread_name_prefix="emirt-estep")
+    helpers = [
+        _pool.submit(copy_context().run, work_through_blocks)
+        for _ in range(min(_helpers, len(starts) - 1))
+    ]
+    try:
+        work_through_blocks()
+    finally:
+        for helper in helpers:
+            helper.result()  # waits, and re-raises a helper's error
+    return results
+
+
+def _normalise_block(rows, patterns, log_p, log_q, log_w, norm, post) -> None:
+    """Write one row block's log normalisers into norm and, given post, its posterior."""
+    x_b = patterns[rows].astype(np.float64)
+    log_joint = x_b @ log_p
+    log_joint += (1.0 - x_b) @ log_q
+    log_joint += log_w
+    peak = np.maximum.reduce(log_joint, axis=1, keepdims=True)
+    norm_b = peak + np.log(np.add.reduce(np.exp(log_joint - peak), axis=1, keepdims=True))
+    norm[rows] = norm_b.ravel()
+    if post is not None:
+        log_joint -= norm_b
+        np.exp(log_joint, out=post[rows])
+
 
 def _log_normalisers(
     data: PatternData, prob: np.ndarray, grid: QuadratureGrid, post: np.ndarray | None = None
@@ -77,22 +172,11 @@ def _log_normalisers(
     """
     if len(prob) != data.n_items:
         raise ValueError(f"expected {data.n_items} item parameters, got {len(prob)}")
-    log_p = np.log(prob)
-    log_q = np.log1p(-prob)
-    x = data.float_patterns
     norm = np.empty(data.n_patterns)
-    for start in range(0, data.n_patterns, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        x_b = x[rows]
-        log_joint = x_b @ log_p
-        log_joint += (1.0 - x_b) @ log_q
-        log_joint += grid.log_weights
-        peak = np.maximum.reduce(log_joint, axis=1, keepdims=True)
-        norm_b = peak + np.log(np.add.reduce(np.exp(log_joint - peak), axis=1, keepdims=True))
-        norm[rows] = norm_b.ravel()
-        if post is not None:
-            log_joint -= norm_b
-            np.exp(log_joint, out=post[rows])
+    _map_blocks(
+        _normalise_block, data.n_patterns,
+        data.patterns, np.log(prob), np.log1p(-prob), grid.log_weights, norm, post,
+    )
     return norm
 
 
@@ -119,21 +203,21 @@ def posterior(
     return post, loglik
 
 
+def _count_block(rows, patterns, freqs, post) -> tuple[np.ndarray, np.ndarray]:
+    """One row block's (N_t, N1_jt) partial counts."""
+    f_b, post_b = freqs[rows], post[rows]
+    return f_b @ post_b, (patterns[rows].T * f_b) @ post_b
+
+
 def expected_counts(data: PatternData, post: np.ndarray) -> ExpectedCounts:
     """Expected per-node counts N1_jt and N_t from a posterior table.
 
     The first row block of the pattern table gives the counts, and each
-    further block adds its own.
+    further block adds its own, in block order.
     """
-    x, freqs = data.float_patterns, data.float_freqs
-
-    def block(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        f_b, post_b = freqs[rows], post[rows]
-        return f_b @ post_b, (x[rows].T * f_b) @ post_b
-
-    nt, n1 = block(slice(0, BLOCK_ROWS))
-    for start in range(BLOCK_ROWS, data.n_patterns, BLOCK_ROWS):
-        nt_b, n1_b = block(slice(start, start + BLOCK_ROWS))
+    parts = _map_blocks(_count_block, data.n_patterns, data.patterns, data.float_freqs, post)
+    nt, n1 = parts[0]
+    for nt_b, n1_b in parts[1:]:
         nt += nt_b
         n1 += n1_b
     return ExpectedCounts(n1=n1, nt=nt)

@@ -47,17 +47,6 @@ class PatternData:
         return self.patterns.shape[0]
 
     @cached_property
-    def float_patterns(self) -> np.ndarray:
-        """The pattern table as a read-only float64 array, built once.
-
-        The E-step multiplies it into every iteration's products, and the
-        table never changes during a fit.
-        """
-        x = self.patterns.astype(np.float64)
-        x.setflags(write=False)
-        return x
-
-    @cached_property
     def float_freqs(self) -> np.ndarray:
         """The frequencies as a read-only float64 array, built once."""
         f = self.freqs.astype(np.float64)

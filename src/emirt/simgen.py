@@ -12,7 +12,7 @@ import numpy as np
 
 from . import em_nr, em_ols
 from .em_ols import DEGENERATE_SLOPE, FitConfig
-from .expectation import logistic
+from .expectation import logistic, run_blocks_inline
 from .model import ItemParams, ModelKind
 from .patterns import tabulate
 
@@ -292,7 +292,8 @@ def replicate_study(
             records.extend(_run_replication(task))
     else:
         chunk = max(1, design.reps // (n_workers * 4))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # the workers already occupy the cores, so each runs its E-step blocks inline
+        with ProcessPoolExecutor(n_workers, initializer=run_blocks_inline) as pool:
             for result in pool.map(_run_replication, tasks, chunksize=chunk):
                 records.extend(result)
 

@@ -1,5 +1,11 @@
 """Tests for the E-step quantities."""
 import math
+import multiprocessing
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -275,6 +281,27 @@ def wide_table():
     return data, response_prob_matrix(a, b, grid), grid
 
 
+@pytest.fixture(scope="module")
+def helper_thread():
+    """A one-thread pool that helps the caller, whatever the machine's core count."""
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
+
+
+def run_blocks_on(pool, monkeypatch):
+    """Share multi-block E-steps with pool's one thread, or run them inline when pool is None."""
+    monkeypatch.setattr(expectation, "_pool", pool)
+    monkeypatch.setattr(expectation, "_helpers", 0 if pool is None else 1)
+
+
+def fit_repr(result):
+    """Everything a fit reports, as one string: equal strings mean identical fits."""
+    return repr(
+        (result.params, result.loglik_trace, result.max_delta_trace, result.phi_max_trace,
+         result.flags, result.iterations, result.converged, result.loglik_decreases)
+    )
+
+
 class TestBlockedEStep:
     @pytest.mark.parametrize("block_rows", [1, 7, expectation.BLOCK_ROWS])
     def test_matches_whole_table_formulas(self, wide_table, block_rows, monkeypatch):
@@ -319,18 +346,25 @@ class TestBlockedEStep:
 
     @pytest.mark.parametrize("block_rows, index", [(7, 17), (expectation.BLOCK_ROWS, 4101)])
     def test_underflow_reports_the_global_pattern_index(
-        self, wide_table, block_rows, index, monkeypatch
+        self, wide_table, block_rows, index, helper_thread, monkeypatch
     ):
-        """A pattern in the third block whose likelihood p**1e307 is zero at every node."""
+        """A pattern in the third block whose likelihood p**1e307 is zero at every node.
+
+        The caller's np.errstate covers the blocks on the helper thread too:
+        no block warns, and the error names the pattern.
+        """
         assert index // block_rows == 2
         monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+        run_blocks_on(helper_thread, monkeypatch)
         data, _, grid = wide_table
         x = data.patterns.astype(np.float64)
         x[index, 0] = 1e307
         doomed = PatternData(patterns=x, freqs=data.freqs)
         prob = response_prob_matrix(np.ones(30), np.full(30, 40.0), grid)  # P clamped to 1e-10
-        with pytest.raises(PosteriorUnderflowError) as err, np.errstate(over="ignore"):
-            posterior(doomed, prob, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PosteriorUnderflowError) as err, np.errstate(over="ignore"):
+                posterior(doomed, prob, grid)
         assert err.value.pattern_index == index
 
     @pytest.mark.parametrize("fit_fn", [em_ols.fit, em_nr.fit_nr], ids=["ols", "nr"])
@@ -346,3 +380,127 @@ class TestBlockedEStep:
         for got, want in zip(blocked.params, whole.params):
             np.testing.assert_allclose([got.a, got.b], [want.a, want.b], rtol=BLOCK_RTOL)
         np.testing.assert_allclose(blocked.loglik_trace, whole.loglik_trace, rtol=BLOCK_RTOL)
+
+
+def _fit_in_child(data, cfg, conn):
+    conn.send(fit_repr(em_ols.fit(data, cfg)))
+    conn.close()
+
+
+class TestThreadCount:
+    """The E-step's blocks give the same bits on the thread pool as inline."""
+
+    @pytest.mark.parametrize("block_rows", [7, expectation.BLOCK_ROWS])
+    def test_estep_is_identical_on_pool_and_inline(
+        self, wide_table, block_rows, helper_thread, monkeypatch
+    ):
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+        data, prob, grid = wide_table
+        results = []
+        for pool in (helper_thread, None):
+            run_blocks_on(pool, monkeypatch)
+            post, ll = posterior(data, prob, grid)
+            results.append((post, ll, observed_loglik(data, prob, grid), expected_counts(data, post)))
+        (post_p, ll_p, obs_p, counts_p), (post_i, ll_i, obs_i, counts_i) = results
+        assert np.array_equal(post_p, post_i)
+        assert ll_p == ll_i and obs_p == obs_i
+        assert np.array_equal(counts_p.n1, counts_i.n1) and np.array_equal(counts_p.nt, counts_i.nt)
+
+    @pytest.mark.parametrize("fit_fn", [em_ols.fit, em_nr.fit_nr], ids=["ols", "nr"])
+    def test_fits_are_identical_on_pool_and_inline(self, wide_table, fit_fn, helper_thread, monkeypatch):
+        data = wide_table[0]
+        assert data.n_patterns > expectation.BLOCK_ROWS
+        cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=6)
+        run_blocks_on(helper_thread, monkeypatch)
+        pooled = fit_fn(data, cfg)
+        run_blocks_on(None, monkeypatch)
+        assert fit_repr(pooled) == fit_repr(fit_fn(data, cfg))
+
+    def test_blocks_run_under_the_callers_error_state(self, helper_thread, monkeypatch):
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", 1)
+        run_blocks_on(helper_thread, monkeypatch)
+        seen = []
+
+        def block(rows):
+            time.sleep(0.002)  # long enough for the helper to take blocks too
+            seen.append((threading.get_ident(), np.geterr()["over"]))
+            return rows.start
+
+        with np.errstate(over="raise"):
+            assert expectation._map_blocks(block, 20) == list(range(20))
+        assert len(seen) == 20
+        assert {err for _, err in seen} == {"raise"}
+        assert len({thread for thread, _ in seen}) == 2  # the caller and the helper
+
+    def test_a_helpers_error_reaches_the_caller(self, helper_thread, monkeypatch):
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", 1)
+        run_blocks_on(helper_thread, monkeypatch)
+        caller = threading.get_ident()
+
+        def block(rows):
+            time.sleep(0.002)  # long enough for the helper to take blocks too
+            if threading.get_ident() != caller:
+                raise MemoryError("on the helper")
+
+        with pytest.raises(MemoryError, match="on the helper"):
+            expectation._map_blocks(block, 20)
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        """More threads than cores and a short switch interval: no block is lost or repeated."""
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", 1)
+        ran = []
+
+        def block(rows):
+            time.sleep(0)  # lets another thread run
+            ran.append(rows.start)
+            return rows.start
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                monkeypatch.setattr(expectation, "_pool", pool)
+                monkeypatch.setattr(expectation, "_helpers", 4)
+                for _ in range(5):
+                    ran.clear()
+                    assert expectation._map_blocks(block, 3000) == list(range(3000))
+                    assert sorted(ran) == list(range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_only_block_kernels_run_on_pool_threads(self, wide_table, monkeypatch):
+        """No traced or counted emirt function runs off the calling thread."""
+        data, prob, grid = wide_table
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals.get("__name__", "").startswith("emirt"):
+                called.add(frame.f_code.co_name)
+
+        threading.setprofile(profile)
+        try:
+            with ThreadPoolExecutor(1) as pool:  # its thread starts under the profiler
+                run_blocks_on(pool, monkeypatch)
+                post, _ = posterior(data, prob, grid)
+                expected_counts(data, post)
+                observed_loglik(data, prob, grid)
+        finally:
+            threading.setprofile(None)
+        assert called == {"work_through_blocks", "_normalise_block", "_count_block"}
+
+    def test_forked_child_does_not_reuse_the_pool(self, wide_table, helper_thread, monkeypatch):
+        """A multi-block fit in the parent, then the same fit in a forked child."""
+        data = wide_table[0]
+        cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=4, max_iter=20)
+        run_blocks_on(helper_thread, monkeypatch)
+        here = fit_repr(em_ols.fit(data, cfg))  # the pool's thread is running now
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_fit_in_child, args=(data, cfg, sender))
+        child.start()
+        try:
+            assert receiver.poll(60), "the fit in the forked child did not finish"
+            assert receiver.recv() == here
+        finally:
+            child.kill()
+            child.join()

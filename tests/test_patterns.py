@@ -79,13 +79,6 @@ class TestTabulate:
         assert data.patterns.dtype == np.uint8 and data.freqs.dtype == np.int64
         assert not data.patterns.flags.writeable and not data.freqs.flags.writeable
 
-    def test_float_patterns_cached_read_only(self):
-        data = tabulate([[1, 0], [1, 0], [0, 1]])
-        x = data.float_patterns
-        assert x is data.float_patterns
-        assert x.dtype == np.float64 and not x.flags.writeable
-        np.testing.assert_array_equal(x, data.patterns)
-
 
 def estep_item_totals(data):
     """N1_j from the E-step: at one node every posterior row is 1, so the

@@ -1,4 +1,5 @@
 """Tests for data generation and the replication harness."""
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -166,6 +167,42 @@ class TestReplicateStudy:
         assert serial.rows == parallel.rows
         # Everything but the wall-clock timing must match.
         assert replace(serial, timing=()) == replace(parallel, timing=())
+
+    def test_multi_block_rows_independent_of_worker_count(self, monkeypatch):
+        """Pool workers run their E-step blocks inline, the parent on its threads."""
+        from emirt import expectation
+
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", 64)
+        truth = tuple(
+            ItemParams(a=a, b=b)
+            for a, b in zip(np.linspace(0.5, 2.0, 12), np.linspace(-2.5, 2.5, 12))
+        )
+        design = small_design(
+            true_params=truth, n_persons=1000, reps=3, model=ModelKind.TWO_PL, t_list=(4,)
+        )
+        first_rep = np.random.SeedSequence(design.seed).spawn(1)[0]
+        assert tabulate(generate(truth, 1000, first_rep)).n_patterns > 4 * 64
+        with ThreadPoolExecutor(1) as helper:
+            monkeypatch.setattr(expectation, "_pool", helper)
+            monkeypatch.setattr(expectation, "_helpers", 1)
+            serial = replicate_study(design, estimators=("ols", "nr"), workers=1)
+            parallel = replicate_study(design, estimators=("ols", "nr"), workers=2)
+        assert repr(serial.rows) == repr(parallel.rows)
+        assert serial.failures == parallel.failures
+
+    def test_pool_workers_run_blocks_inline(self, monkeypatch):
+        from emirt import expectation, simgen
+
+        initializers = []
+
+        class RecordingPool(simgen.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initializers.append(kwargs.get("initializer"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simgen, "ProcessPoolExecutor", RecordingPool)
+        replicate_study(small_design(), workers=2)
+        assert initializers == [expectation.run_blocks_inline]
 
     def test_both_estimators_and_t_sweep_keys(self):
         design = small_design(reps=2, t_list=(2, 3))

@@ -11,10 +11,12 @@ iteration on all items at once; no finite differences.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from . import expectation
-from .em_ols import FitConfig, FitResult, IterationCallback, _run_em
+from .em_ols import FitConfig, FitResult, IterationCallback, _one_fit, _run_em
 from .expectation import ExpectedCounts
 from .model import ItemParams, ModelKind
 from .patterns import PatternData
@@ -40,10 +42,11 @@ def _score(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-item score of Q1 in (a, tau): (sum_t r_t theta_t, sum_t r_t).
 
-    r_t = N1_jt - N_t * P_j(theta_t) are the count residuals.
+    r_t = N1_jt - N_t * P_j(theta_t) are the count residuals.  prob and n1
+    are (..., J, T) and nt broadcasts against them; the scores are (..., J).
     """
     resid = n1 - nt * prob
-    return resid @ theta, resid.sum(axis=1)
+    return resid @ theta, resid.sum(axis=-1)
 
 
 def _information(
@@ -52,9 +55,10 @@ def _information(
     """Per-item entries (I_aa, I_atau, I_tautau) of minus the Q1 Hessian.
 
     -H = sum_t w_t [theta_t^2, theta_t; theta_t, 1], w_t = N_t P_t (1 - P_t).
+    Shapes as in _score.
     """
     weight = nt * prob * (1.0 - prob)
-    return weight @ (theta * theta), weight @ theta, weight.sum(axis=1)
+    return weight @ (theta * theta), weight @ theta, weight.sum(axis=-1)
 
 
 def item_score(
@@ -80,30 +84,33 @@ def nr_mstep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton-Raphson (IRLS) maximization of every item's Q1 in (a, tau).
 
-    Takes and returns (J,) arrays a and b.  The 1PL keeps a fixed and
-    updates tau alone.  A step that lowers an item's Q1 by more than the
-    rounding noise of Q1 itself is halved, up to STEP_HALVING_MAX
+    Takes and returns (J,) arrays a and b with (J, T) counts, or (R, J)
+    arrays with R fits' stacked counts; every item iterates on its own, so
+    each fit's row is bit-identical to its one-fit call.  The 1PL keeps a
+    fixed and updates tau alone.  A step that lowers an item's Q1 by more
+    than the rounding noise of Q1 itself is halved, up to STEP_HALVING_MAX
     times.  An item stops after INNER_MAX_ITER steps, when its (a, b) score
     norm (b alone for the 1PL) falls below INNER_TOL, when no halved step is
     accepted, or when its Hessian is singular (curvature underflowed at
     saturated nodes).
     """
-    theta, n1, nt = grid.nodes, counts.n1, counts.nt
-    n0 = nt[None, :] - n1
+    theta, n1 = grid.nodes, counts.n1
+    nt = counts.nt[..., None, :]
+    n0 = nt - n1
     two_pl = model is ModelKind.TWO_PL
     tau = -a * b
 
     def prob_at(a, tau):
-        z = a[:, None] * theta[None, :] + tau[:, None]
+        z = a[..., None] * theta + tau[..., None]
         return expectation.clamp_prob(expectation.logistic(z))
 
     def item_q1(prob):
-        return (n1 * np.log(prob) + n0 * np.log1p(-prob)).sum(axis=1)
+        return (n1 * np.log(prob) + n0 * np.log1p(-prob)).sum(axis=-1)
 
     prob = prob_at(a, tau)
     q = item_q1(prob)
     slack = 1e-13 * np.maximum(1.0, np.abs(q))
-    active = np.ones(len(a), dtype=bool)
+    active = np.ones(a.shape, dtype=bool)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(INNER_MAX_ITER):
@@ -136,7 +143,7 @@ def nr_mstep(
                 a = np.where(accept, a_try, a)
                 tau = np.where(accept, tau_try, tau)
                 q = np.where(accept, np.maximum(q_try, q), q)
-                prob[accept] = prob_try[accept]
+                np.copyto(prob, prob_try, where=accept[..., None])
                 pending &= ~accept
                 if not pending.any():
                     break
@@ -144,6 +151,13 @@ def nr_mstep(
             active &= ~pending  # stalled at numerical stationarity
 
     return a, -tau / a
+
+
+def _make_nr_mstep(grid: QuadratureGrid, model: ModelKind):
+    def mstep(a, b, counts):
+        return (*nr_mstep(a, b, counts, grid, model), np.zeros(a.shape, dtype=bool))  # no item flags
+
+    return mstep
 
 
 def fit_nr(
@@ -155,13 +169,15 @@ def fit_nr(
     observed log-likelihood trace must be non-decreasing (slack 1e-8); a
     violation means the step-halving safeguard failed and raises.
     """
-
-    def make_mstep(grid):
-        def mstep(a, b, counts):
-            return (*nr_mstep(a, b, counts, grid, cfg.model), False)  # no item flags
-
-        return mstep
-
-    return _run_em(
-        data, cfg, make_mstep, ascent_error=MonotonicityViolationError, callback=callback
+    return _one_fit(
+        _run_em([data], cfg, _make_nr_mstep, MonotonicityViolationError, callback=callback)
     )
+
+
+def fit_nr_lockstep(datas: Sequence[PatternData], cfg: FitConfig) -> list[FitResult | Exception]:
+    """fit_nr on every table in datas, run in lockstep.
+
+    Returns, per table, the FitResult that fit_nr would return, bit for
+    bit, or the exception it would raise.
+    """
+    return _run_em(datas, cfg, _make_nr_mstep, MonotonicityViolationError)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,8 +44,9 @@ B_CAP = 1e3
 
 DEGENERATE_SLOPE = "degenerate_slope"
 
-# Iteration callback: (iteration, params, posterior, counts) -> None.  The EM
-# core works on (a, b) arrays and builds the ItemParams list only for it.
+# Iteration callback: (iteration, params, posterior, counts) -> None, called
+# for each fit.  The EM core works on (a, b) arrays and builds the ItemParams
+# list only for it.
 IterationCallback = Callable[[int, list[ItemParams], np.ndarray, ExpectedCounts], None]
 
 
@@ -99,11 +100,14 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Outcome of an EM fit; params are the EM core's final (a, b) arrays as ItemParams.
+    """Outcome of one EM fit; params are its final (a, b) as ItemParams.
 
-    loglik_trace has one entry per visited parameter set (iterations + 1);
-    max_delta_trace and phi_max_trace have one entry per iteration.
-    flags collects per-item conditions such as a degenerate OLS slope.
+    The EM core runs R fits in lockstep on (R, J) parameter arrays; each
+    fit's FitResult holds its own row of them and its own traces, count and
+    flags, exactly as if it had been fitted alone.  loglik_trace has one
+    entry per visited parameter set (iterations + 1); max_delta_trace and
+    phi_max_trace have one entry per iteration.  flags collects per-item
+    conditions such as a degenerate OLS slope.
     """
 
     params: list[ItemParams]
@@ -125,10 +129,16 @@ class FitResult:
 
 
 def latent_responses(counts: ExpectedCounts, eps: float) -> LatentResponseTable:
-    """Log-odds y_jt = logit(N1_jt / N_t) with the proportion clamp applied."""
-    if (counts.nt <= 0).any():
-        raise DegenerateNodeError(int(np.argmax(counts.nt <= 0)))
-    prop = counts.n1 / counts.nt[None, :]
+    """Log-odds y = logit(N1 / N_t) with the proportion clamp applied.
+
+    Works over leading axes: n1 of shape (J, T) or (R, J, T) gives y and
+    clamped of that shape.  Raises DegenerateNodeError, naming the node, if
+    a node has no expected mass.
+    """
+    empty = counts.nt <= 0
+    if empty.any():
+        raise DegenerateNodeError(int(np.argwhere(empty)[0, -1]))
+    prop = counts.n1 / counts.nt[..., None, :]
     clamped = (prop < eps) | (prop > 1.0 - eps)
     prop = np.minimum(np.maximum(prop, eps), 1.0 - eps)  # np.clip, without its dispatch
     return LatentResponseTable(y=np.log(prop / (1.0 - prop)), clamped=clamped)
@@ -146,21 +156,22 @@ def ols_mstep(
     Returns the new (a, b) arrays and a per-item boolean array marking
     slopes too close to zero to invert; those items get the sentinel
     difficulty ±B_CAP (and a = A_MIN where the slope is exactly zero).
+    A (J, T) table gives (J,) arrays, and an (R, J, T) stack of R fits'
+    tables gives (R, J) arrays whose rows are bit-identical to each fit's
+    own.
     """
-    # means as add.reduce / count, the arithmetic of ndarray.mean
-    theta = grid.nodes
-    theta_bar = np.add.reduce(theta) / theta.size
-    y_bar = np.add.reduce(table.y, axis=1) / table.y.shape[1]
+    theta_bar, centered, denom = grid.node_moments
+    # the mean as add.reduce / count, the arithmetic of ndarray.mean
+    y_bar = np.add.reduce(table.y, axis=-1) / table.y.shape[-1]
 
     if model is ModelKind.ONE_PL:
         tau = y_bar - theta_bar
-        return np.ones_like(tau), -tau, np.zeros(len(tau), dtype=bool)
+        return np.ones_like(tau), -tau, np.zeros(tau.shape, dtype=bool)
 
     if grid.size < 2:
         raise ValueError("the 2PL OLS step needs at least 2 quadrature points")
-    centered = theta - theta_bar
-    denom = float(centered @ centered)
-    slopes = (table.y - y_bar[:, None]) @ centered / denom
+    # a stacked matmul makes one product per (J, T) slice, as a single fit does
+    slopes = (table.y - y_bar[..., None]) @ centered / denom
     taus = y_bar - slopes * theta_bar
 
     degenerate = np.abs(slopes) < A_MIN
@@ -184,82 +195,169 @@ def _item_params(a: np.ndarray, b: np.ndarray) -> list[ItemParams]:
 
 
 def _run_em(
-    data: PatternData,
+    datas: Sequence[PatternData],
     cfg: FitConfig,
     make_mstep,
     ascent_error: type[Exception] | None,
     callback: IterationCallback | None = None,
-) -> FitResult:
-    """Generic EM loop shared by the OLS and Newton-Raphson M-steps.
+) -> list[FitResult | Exception]:
+    """EM loop shared by the OLS and Newton-Raphson M-steps, over R fits in lockstep.
 
-    Works on (J,) float64 arrays a and b.  make_mstep(grid) returns
-    mstep(a, b, counts) -> (new_a, new_b, degenerate), the last marking
-    items to flag DEGENERATE_SLOPE; a non-finite or zero estimate raises
-    ItemParams' ValueError.  A log-likelihood decrease raises ascent_error
-    unless it is None.  The fit starts at a = 1, b = 0.  Each visited
-    parameter set gets one clamped probability matrix, shared by its phi
-    residuals and its E-step, and one pattern likelihood pass, whose
-    normaliser gives the observed log-likelihood.
+    Fits each of the R tables in datas under cfg, every fit from a = 1,
+    b = 0.  The fits' parameters are (R, J) float64 arrays a and b, and the
+    M-step, the probability matrices and the phi residuals each run once
+    per iteration on the stacked (R, J, T) arrays.  The E-step is one
+    posterior and one expected_counts call per fit, on its own table; a
+    fit's counts are taken right after its posterior, which is then
+    dropped.  A stacked numpy operation computes each fit's slice as a
+    one-fit call does, so every fit is bit-identical to a fit run alone.
+
+    make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
+    degenerate) over the stacked arrays, the last marking items to flag
+    DEGENERATE_SLOPE.  A non-finite or zero estimate raises ItemParams'
+    ValueError.  When the stacked M-step of several fits raises, each fit's
+    M-step runs alone to find the fits that raise, and the others' stacked
+    M-step runs again.  A log-likelihood decrease raises ascent_error unless it is
+    None.  Each visited parameter set gets one clamped probability matrix,
+    shared by its phi residuals and its E-step, and one pattern likelihood
+    pass, whose normaliser gives the observed log-likelihood.
+
+    Each fit keeps its own iteration count, traces, flags and
+    loglik_decreases, and leaves the lockstep when it converges, reaches
+    cfg.max_iter or raises; the remaining fits are compacted and go on
+    unaffected.  callback, if given, is called for each fit before each of
+    its M-steps.  Returns, per table, its FitResult or the exception its
+    fit raised.
     """
     grid = normal_grid(cfg.resolved_quads)
-    mstep = make_mstep(grid)
-    a = np.ones(data.n_items)
-    b = np.zeros(data.n_items)
-    flagged = np.zeros(data.n_items, dtype=bool)
+    mstep = make_mstep(grid, cfg.model)
+    n_fits = len(datas)
+    n_items = datas[0].n_items if datas else 0
+    if any(data.n_items != n_items for data in datas):
+        raise ValueError("fits in lockstep need tables with the same items")
+    fits = [FitResult([], 0, False, [], [], []) for _ in datas]
+    outcomes: list[FitResult | Exception] = list(fits)
 
+    # The live fits' indices into datas, and their rows of the stacked arrays.
+    live = list(range(n_fits))
+    a = np.ones((n_fits, n_items))
+    b = np.zeros((n_fits, n_items))
+    flagged = np.zeros((n_fits, n_items), dtype=bool)
+    counts = ExpectedCounts(
+        n1=np.empty((n_fits, n_items, grid.size)), nt=np.empty((n_fits, grid.size))
+    )
+    converged = stop = [False] * n_fits
     prob = expectation.response_prob_matrix(a, b, grid)
-    post, ll = expectation.posterior(data, prob, grid)
-    loglik_trace = [ll]
-    max_delta_trace: list[float] = []
-    phi_max_trace: list[float] = []
-    decreases = 0
-    converged = False
-    iterations = 0
+    iteration = 0
 
-    for iteration in range(1, cfg.max_iter + 1):
-        counts = expectation.expected_counts(data, post)
-        if callback is not None:
-            callback(iteration, _item_params(a, b), post, counts)
-        del post  # the next posterior allocates its own (P, T) table
+    while True:
+        gone = []  # positions in live of the fits that leave the lockstep
+        for i, r in enumerate(live):
+            fit = fits[r]
+            try:
+                post, ll = expectation.posterior(datas[r], prob[i], grid)
+            except Exception as exc:  # a fit's error is its outcome, never the others'
+                outcomes[r] = exc
+                gone.append(i)
+                continue
+            if iteration and ll < fit.loglik_trace[-1] - 1e-8:
+                fit.loglik_decreases += 1
+                if ascent_error is not None:
+                    outcomes[r] = ascent_error(
+                        f"log-likelihood fell from {fit.loglik_trace[-1]:.10g} to {ll:.10g} "
+                        f"at iteration {iteration}"
+                    )
+                    gone.append(i)
+                    continue
+            fit.loglik_trace.append(ll)
+            if stop[i]:
+                fit.params = _item_params(a[i], b[i])
+                fit.flags = [[DEGENERATE_SLOPE] if f else [] for f in flagged[i]]
+                fit.iterations = iteration
+                fit.converged = converged[i]
+                gone.append(i)
+                continue
+            fit_counts = expectation.expected_counts(datas[r], post)
+            if callback is not None:
+                callback(iteration + 1, _item_params(a[i], b[i]), post, fit_counts)
+            del post  # the next posterior allocates its own (P, T) table
+            counts.n1[i], counts.nt[i] = fit_counts.n1, fit_counts.nt
+        if len(gone) == len(live):
+            break
+        if gone:
+            live, a, b, flagged, n1, nt = _compact(gone, live, a, b, flagged, counts.n1, counts.nt)
+            counts = ExpectedCounts(n1=n1, nt=nt)
+        iteration += 1
 
-        new_a, new_b, degenerate = mstep(a, b, counts)
-        # np.maximum keeps NaN; a finite delta from finite (a, b) means finite estimates
-        delta = float(np.maximum(np.abs(new_a - a).max(), np.abs(new_b - b).max()))
-        if not (math.isfinite(delta) and new_a.all()):
-            _check_params(new_a, new_b)
+        try:
+            new_a, new_b, degenerate, deltas = _checked_mstep(mstep, a, b, counts)
+        except Exception as exc:  # find the fits that raise alone, and go on without them
+            if len(live) == 1:
+                outcomes[live[0]] = exc
+                break
+            gone = []
+            for i, r in enumerate(live):
+                try:
+                    _checked_mstep(mstep, a[i : i + 1], b[i : i + 1],
+                                   ExpectedCounts(n1=counts.n1[i : i + 1], nt=counts.nt[i : i + 1]))
+                except Exception as exc:
+                    outcomes[r] = exc
+                    gone.append(i)
+            if len(gone) == len(live):
+                break
+            live, a, b, flagged, n1, nt = _compact(gone, live, a, b, flagged, counts.n1, counts.nt)
+            counts = ExpectedCounts(n1=n1, nt=nt)
+            new_a, new_b, degenerate, deltas = _checked_mstep(mstep, a, b, counts)
         flagged |= degenerate
 
         prob = expectation.response_prob_matrix(new_a, new_b, grid)
         phi = expectation.phi_residuals(prob, counts)
-        phi_max_trace.append(float(np.abs(phi).max()))
-        max_delta_trace.append(delta)
-
-        post, ll = expectation.posterior(data, prob, grid)
-        if ll < loglik_trace[-1] - 1e-8:
-            decreases += 1
-            if ascent_error is not None:
-                raise ascent_error(
-                    f"log-likelihood fell from {loglik_trace[-1]:.10g} to {ll:.10g} "
-                    f"at iteration {iteration}"
-                )
-        loglik_trace.append(ll)
+        for r, d, phi_max in zip(live, deltas, np.abs(phi).max(axis=(1, 2)).tolist()):
+            fits[r].max_delta_trace.append(d)
+            fits[r].phi_max_trace.append(phi_max)
 
         a, b = new_a, new_b
-        iterations = iteration
-        if delta < cfg.tol:
-            converged = True
-            break
+        converged = [d < cfg.tol for d in deltas]
+        stop = converged if iteration < cfg.max_iter else [True] * len(live)
 
-    return FitResult(
-        params=_item_params(a, b),
-        iterations=iterations,
-        converged=converged,
-        loglik_trace=loglik_trace,
-        max_delta_trace=max_delta_trace,
-        phi_max_trace=phi_max_trace,
-        flags=[[DEGENERATE_SLOPE] if f else [] for f in flagged],
-        loglik_decreases=decreases,
-    )
+    return outcomes
+
+
+def _checked_mstep(mstep, a, b, counts) -> tuple:
+    """mstep(a, b, counts) and each fit's largest parameter change, as a list.
+
+    Raises ItemParams' ValueError for the first non-finite or zero estimate.
+    """
+    new_a, new_b, degenerate = mstep(a, b, counts)
+    # np.maximum and max keep NaN; a finite delta from finite (a, b) means finite estimates
+    deltas = np.maximum(np.abs(new_a - a), np.abs(new_b - b)).max(axis=-1).tolist()
+    if not (all(map(math.isfinite, deltas)) and new_a.all()):
+        _check_params(new_a.ravel(), new_b.ravel())
+    return new_a, new_b, degenerate, deltas
+
+
+def _compact(gone: list[int], live: list[int], *arrays: np.ndarray) -> list:
+    """live and the rows of each stacked array, without the positions in gone."""
+    keep = np.ones(len(live), dtype=bool)
+    keep[gone] = False
+    return [[r for r, k in zip(live, keep.tolist()) if k], *(x[keep] for x in arrays)]
+
+
+def _one_fit(outcomes: list[FitResult | Exception]) -> FitResult:
+    """The result of a one-fit lockstep, raising the fit's error if it raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _make_ols_mstep(grid: QuadratureGrid, model: ModelKind):
+    eps = 1.0 / (1.0 + math.exp(log_odds_cap(grid)))
+
+    def mstep(a, b, counts):
+        return ols_mstep(latent_responses(counts, eps=eps), grid, model)
+
+    return mstep
 
 
 def fit(
@@ -273,13 +371,13 @@ def fit(
     parameter set; decreases are counted but not treated as failures since
     the plug-in M-step is not an exact Q maximizer.
     """
+    return _one_fit(_run_em([data], cfg, _make_ols_mstep, ascent_error=None, callback=callback))
 
-    def make_mstep(grid):
-        eps = 1.0 / (1.0 + math.exp(log_odds_cap(grid)))
 
-        def mstep(a, b, counts):
-            return ols_mstep(latent_responses(counts, eps=eps), grid, cfg.model)
+def fit_lockstep(datas: Sequence[PatternData], cfg: FitConfig) -> list[FitResult | Exception]:
+    """fit on every table in datas, run in lockstep.
 
-        return mstep
-
-    return _run_em(data, cfg, make_mstep, ascent_error=None, callback=callback)
+    Returns, per table, the FitResult that fit would return, bit for bit,
+    or the exception it would raise.
+    """
+    return _run_em(datas, cfg, _make_ols_mstep, ascent_error=None)

@@ -36,8 +36,11 @@ class PosteriorUnderflowError(ArithmeticError):
 class ExpectedCounts:
     """Posterior-weighted response counts per item and quadrature node.
 
-    n1 : (J, T) expected number of correct responses
-    nt : (T,)  expected number of persons at each node
+    n1 : (..., J, T) expected number of correct responses
+    nt : (..., T)    expected number of persons at each node
+
+    expected_counts gives one fit's (J, T) and (T,) arrays; the lockstep EM
+    loop stacks R fits' counts along a leading replication axis.
     """
 
     n1: np.ndarray
@@ -60,8 +63,13 @@ def clamp_prob(prob: np.ndarray) -> np.ndarray:
 
 
 def response_prob_matrix(a: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """Clamped P_j(theta_t) for discriminations a and difficulties b, shape (J, T)."""
-    z = a[:, None] * (grid.nodes[None, :] - b[:, None])
+    """Clamped P_j(theta_t) for discriminations a and difficulties b.
+
+    a and b have shape (J,), or (R, J) for R fits; the result has shape
+    (J, T) or (R, J, T), and each fit's (J, T) slice is bit-identical to
+    the matrix of its own (J,) arrays.
+    """
+    z = a[..., None] * (grid.nodes - b[..., None])
     return clamp_prob(logistic(z))
 
 
@@ -246,10 +254,12 @@ def q1(prob: np.ndarray, counts: ExpectedCounts) -> float:
 def phi_residuals(prob: np.ndarray, counts: ExpectedCounts) -> np.ndarray:
     """Per-item, per-node stationarity residuals N1/P - N0/(1-P).
 
-    prob is the clamped (J, T) response_prob_matrix of the parameter set.
-    The residuals approach zero at the marginal maximum likelihood
-    solution, so the matrix doubles as a convergence diagnostic.
+    prob is the clamped (J, T) response_prob_matrix of the parameter set,
+    or the (R, J, T) stack of R fits' matrices with their stacked counts;
+    the result has prob's shape.  The residuals approach zero at the
+    marginal maximum likelihood solution, so the matrix doubles as a
+    convergence diagnostic.
     """
-    n0 = counts.nt[None, :] - counts.n1
+    n0 = counts.nt[..., None, :] - counts.n1
     return counts.n1 / prob - n0 / (1.0 - prob)
 

@@ -33,6 +33,19 @@ class QuadratureGrid:
         log_w.setflags(write=False)
         return log_w
 
+    @cached_property
+    def node_moments(self) -> tuple[np.float64, np.ndarray, float]:
+        """(mean, nodes - mean, sum of squared deviations) of the unweighted nodes.
+
+        The regressor of the OLS M-step, built once per grid; the centred
+        nodes are read-only.
+        """
+        # the mean as add.reduce / count, the arithmetic of ndarray.mean
+        mean = np.add.reduce(self.nodes) / self.nodes.size
+        centered = self.nodes - mean
+        centered.setflags(write=False)
+        return mean, centered, float(centered @ centered)
+
 
 def hermite_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Return abscissae and weights of the n-point Gauss-Hermite rule.

@@ -165,7 +165,25 @@ def fit_estimator(data, estimator: str, cfg: FitConfig):
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
+def _record(rep: int, estimator: str, n_quads: int, wall_ms: float, outcome) -> _FitRecord:
+    """The record of one fit, from its FitResult or the exception it raised."""
+    if isinstance(outcome, Exception):
+        error = f"{type(outcome).__name__}: {outcome}"
+        return _FitRecord(rep, estimator, n_quads, wall_ms, error=error)
+    return _FitRecord(
+        rep,
+        estimator,
+        n_quads,
+        wall_ms,
+        a_hat=tuple(p.a for p in outcome.params),
+        b_hat=tuple(p.b for p in outcome.params),
+        degenerate=tuple(DEGENERATE_SLOPE in f for f in outcome.flags),
+        converged=outcome.converged,
+    )
+
+
 def _run_replication(args) -> list[_FitRecord]:
+    """One replication's fits, one at a time, each with its own wall time."""
     rep, design, estimators, seed = args
     matrix = generate(design.true_params, design.n_persons, seed)
     data = tabulate(matrix)
@@ -175,24 +193,30 @@ def _run_replication(args) -> list[_FitRecord]:
             start = time.perf_counter()
             try:
                 cfg = FitConfig(model=design.model, n_quads=n_quads)
-                result = fit_estimator(data, estimator, cfg)
+                outcome = fit_estimator(data, estimator, cfg)
             except Exception as exc:  # per-fit failures never abort the study
-                wall = (time.perf_counter() - start) * 1e3
-                error = f"{type(exc).__name__}: {exc}"
-                records.append(_FitRecord(rep, estimator, n_quads, wall, error=error))
-                continue
+                outcome = exc
             wall = (time.perf_counter() - start) * 1e3
-            records.append(
-                _FitRecord(
-                    rep,
-                    estimator,
-                    n_quads,
-                    wall,
-                    a_hat=tuple(p.a for p in result.params),
-                    b_hat=tuple(p.b for p in result.params),
-                    degenerate=tuple(DEGENERATE_SLOPE in f for f in result.flags),
-                    converged=result.converged,
-                )
+            records.append(_record(rep, estimator, n_quads, wall, outcome))
+    return records
+
+
+def _run_cells(design: StudyDesign, estimators: tuple[str, ...], seeds) -> list[_FitRecord]:
+    """Every replication's fits, one lockstep EM call per (estimator, node count) cell.
+
+    A fit's wall time is its cell's wall time divided by the cell's fits.
+    """
+    tables = [tabulate(generate(design.true_params, design.n_persons, seed)) for seed in seeds]
+    records = []
+    for estimator in estimators:
+        fit_lockstep = {"ols": em_ols.fit_lockstep, "nr": em_nr.fit_nr_lockstep}[estimator]
+        for n_quads in design.t_list:
+            start = time.perf_counter()
+            outcomes = fit_lockstep(tables, FitConfig(model=design.model, n_quads=n_quads))
+            wall = (time.perf_counter() - start) * 1e3 / len(tables)
+            records.extend(
+                _record(rep, estimator, n_quads, wall, outcome)
+                for rep, outcome in enumerate(outcomes)
             )
     return records
 
@@ -275,7 +299,10 @@ def replicate_study(
 
     Per-replication seeds are spawned from the design seed, so results are
     reproducible and independent of the worker count.  Individual fit
-    failures are counted, never fatal.
+    failures are counted, never fatal.  With one worker, each (estimator,
+    node count) cell fits all replications in one lockstep EM call, whose
+    fits are bit-identical to one-at-a-time fits; with more, each pool task
+    fits one replication at a time.
     """
     estimators = tuple(estimators)
     for est in estimators:
@@ -283,14 +310,13 @@ def replicate_study(
             raise ValueError(f"unknown estimator {est!r}; expected one of {ESTIMATORS}")
 
     seeds = np.random.SeedSequence(design.seed).spawn(design.reps)
-    tasks = [(rep, design, estimators, seeds[rep]) for rep in range(design.reps)]
 
     n_workers = resolve_workers(workers)
-    records: list[_FitRecord] = []
     if n_workers == 1 or design.reps == 1:
-        for task in tasks:
-            records.extend(_run_replication(task))
+        records = _run_cells(design, estimators, seeds)
     else:
+        records = []
+        tasks = [(rep, design, estimators, seeds[rep]) for rep in range(design.reps)]
         chunk = max(1, design.reps // (n_workers * 4))
         # the workers already occupy the cores, so each runs its E-step blocks inline
         with ProcessPoolExecutor(n_workers, initializer=run_blocks_inline) as pool:

@@ -401,7 +401,7 @@ class TestEdgeInputs:
             a, b, degenerate = original(table, grid, model)
             calls.append(None)
             if len(calls) == 3:
-                {"a": a, "b": b}[param][1] = value
+                {"a": a, "b": b}[param][..., 1] = value  # item 1 of every fit
             return a, b, degenerate
 
         monkeypatch.setattr(em_ols, "ols_mstep", breaks_on_third_call)

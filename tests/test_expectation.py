@@ -469,8 +469,27 @@ class TestThreadCount:
             sys.setswitchinterval(interval)
 
     def test_only_block_kernels_run_on_pool_threads(self, wide_table, monkeypatch):
-        """No traced or counted emirt function runs off the calling thread."""
+        """No traced or counted emirt function runs off the calling thread.
+
+        In each E-step call the caller's blocks wait until the helper has
+        taken a block, so the helper runs every block kernel.
+        """
         data, prob, grid = wide_table
+        caller = threading.get_ident()
+        helper_took_a_block = threading.Event()
+
+        def waiting_for_the_helper(kernel):
+            def block(rows, *args):
+                if threading.get_ident() == caller:
+                    assert helper_took_a_block.wait(30), "the helper took no block"
+                else:
+                    helper_took_a_block.set()
+                return kernel(rows, *args)
+
+            return block
+
+        for name in ("_normalise_block", "_count_block"):
+            monkeypatch.setattr(expectation, name, waiting_for_the_helper(getattr(expectation, name)))
         called = set()
 
         def profile(frame, event, arg):
@@ -482,7 +501,9 @@ class TestThreadCount:
             with ThreadPoolExecutor(1) as pool:  # its thread starts under the profiler
                 run_blocks_on(pool, monkeypatch)
                 post, _ = posterior(data, prob, grid)
+                helper_took_a_block.clear()
                 expected_counts(data, post)
+                helper_took_a_block.clear()
                 observed_loglik(data, prob, grid)
         finally:
             threading.setprofile(None)

@@ -161,12 +161,24 @@ class TestReplicateStudy:
         assert first.failures == second.failures
 
     def test_rows_independent_of_worker_count(self):
+        """Lockstep cells (one worker) and one fit at a time (the pool) agree."""
         design = small_design()
-        serial = replicate_study(design, workers=1)
-        parallel = replicate_study(design, workers=2)
+        serial = replicate_study(design, estimators=("ols", "nr"), workers=1)
+        parallel = replicate_study(design, estimators=("ols", "nr"), workers=2)
         assert serial.rows == parallel.rows
         # Everything but the wall-clock timing must match.
         assert replace(serial, timing=()) == replace(parallel, timing=())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timing_counts_every_attempted_fit(self, workers):
+        design = small_design(reps=3, t_list=(2, 3))
+        summary = replicate_study(design, estimators=("ols", "nr"), workers=workers)
+        assert [(t.estimator, t.n_quads) for t in summary.timing] == [
+            ("ols", 2), ("ols", 3), ("nr", 2), ("nr", 3)
+        ]
+        assert all(t.fits == design.reps for t in summary.timing)
+        if workers == 1:  # a lockstep cell shares its wall time out evenly over its fits
+            assert all(t.min_ms == t.mean_ms == t.max_ms > 0 for t in summary.timing)
 
     def test_multi_block_rows_independent_of_worker_count(self, monkeypatch):
         """Pool workers run their E-step blocks inline, the parent on its threads."""
@@ -233,16 +245,17 @@ class TestReplicateStudy:
             assert series[0] > series[1] > series[2]
 
     def test_failures_counted_not_fatal(self, monkeypatch):
-        from emirt import simgen
+        from emirt import expectation
 
-        def broken_fit(data, estimator, cfg):
+        def broken_posterior(data, prob, grid):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(simgen, "fit_estimator", broken_fit)
-        summary = replicate_study(small_design())
-        assert summary.failures == 4
-        assert all(row.reps == 0 for row in summary.rows)
-        assert all(np.isnan(row.mean_a) for row in summary.rows)
+        monkeypatch.setattr(expectation, "posterior", broken_posterior)
+        for workers in (1, 2):  # lockstep cells, then one fit at a time in pool workers
+            summary = replicate_study(small_design(), workers=workers)
+            assert summary.failures == 4
+            assert all(row.reps == 0 for row in summary.rows)
+            assert all(np.isnan(row.mean_a) for row in summary.rows)
 
 
 class TestQuadStudy:

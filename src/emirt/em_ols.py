@@ -194,6 +194,11 @@ def _item_params(a: np.ndarray, b: np.ndarray) -> list[ItemParams]:
     return [ItemParams(a=a_j, b=b_j) for a_j, b_j in zip(a.tolist(), b.tolist())]
 
 
+# A non-finite y in the OLS M-step makes the fit's estimates non-finite, and
+# _checked_mstep turns them into the fit's error: numpy's warnings on the
+# way would be noise.  Set once per call: entered per M-step, np.errstate
+# took 0.6% of the time of one-table fits.
+@np.errstate(divide="ignore", invalid="ignore")
 def _run_em(
     datas: Sequence[PatternData],
     cfg: FitConfig,
@@ -207,10 +212,16 @@ def _run_em(
     b = 0.  The fits' parameters are (R, J) float64 arrays a and b, and the
     M-step, the probability matrices and the phi residuals each run once
     per iteration on the stacked (R, J, T) arrays.  The E-step is one
-    posterior and one expected_counts call per fit, on its own table; a
-    fit's counts are taken right after its posterior, which is then
-    dropped.  A stacked numpy operation computes each fit's slice as a
-    one-fit call does, so every fit is bit-identical to a fit run alone.
+    posterior call per iteration on the live fits' PatternStack, built
+    once and compacted as fits leave: its row-local work (the pattern
+    products, log-sum-exp and exp) runs once over the zero-padded stack.
+    Every reduction over patterns stays per fit, on that fit's own rows:
+    its log-likelihood, its PosteriorUnderflowError, and one
+    expected_counts call on its slice of the posterior.  A zero-padded
+    stacked N_t product moved fits by up to 6.0e-4 at T = 15.  A stacked
+    numpy operation computes each fit's slice as a one-fit call does, so
+    every fit is bit-identical to a fit run alone.  An error of the
+    stacked call itself is the outcome of every live fit.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
     degenerate) over the stacked arrays, the last marking items to flag
@@ -231,8 +242,10 @@ def _run_em(
     """
     grid = normal_grid(cfg.resolved_quads)
     mstep = make_mstep(grid, cfg.model)
+    if not datas:
+        return []
     n_fits = len(datas)
-    n_items = datas[0].n_items if datas else 0
+    n_items = datas[0].n_items
     if any(data.n_items != n_items for data in datas):
         raise ValueError("fits in lockstep need tables with the same items")
     fits = [FitResult([], 0, False, [], [], []) for _ in datas]
@@ -240,6 +253,7 @@ def _run_em(
 
     # The live fits' indices into datas, and their rows of the stacked arrays.
     live = list(range(n_fits))
+    stack = expectation.PatternStack.of(datas)
     a = np.ones((n_fits, n_items))
     b = np.zeros((n_fits, n_items))
     flagged = np.zeros((n_fits, n_items), dtype=bool)
@@ -251,13 +265,17 @@ def _run_em(
     iteration = 0
 
     while True:
-        gone = []  # positions in live of the fits that leave the lockstep
-        for i, r in enumerate(live):
-            fit = fits[r]
-            try:
-                post, ll = expectation.posterior(datas[r], prob[i], grid)
-            except Exception as exc:  # a fit's error is its outcome, never the others'
+        try:
+            post, logliks = expectation.posterior(stack, prob, grid)
+        except Exception as exc:  # an error of the stacked call is every live fit's outcome
+            for r in live:
                 outcomes[r] = exc
+            break
+        gone = []  # positions in live of the fits that leave the lockstep
+        for i, (r, ll) in enumerate(zip(live, logliks)):
+            fit = fits[r]
+            if isinstance(ll, Exception):  # a fit's error is its outcome, never the others'
+                outcomes[r] = ll
                 gone.append(i)
                 continue
             if iteration and ll < fit.loglik_trace[-1] - 1e-8:
@@ -277,15 +295,19 @@ def _run_em(
                 fit.converged = converged[i]
                 gone.append(i)
                 continue
-            fit_counts = expectation.expected_counts(datas[r], post)
+            fit_post = post[i, : datas[r].n_patterns]
+            fit_counts = expectation.expected_counts(datas[r], fit_post)
             if callback is not None:
-                callback(iteration + 1, _item_params(a[i], b[i]), post, fit_counts)
-            del post  # the next posterior allocates its own (P, T) table
+                callback(iteration + 1, _item_params(a[i], b[i]), fit_post, fit_counts)
+            del fit_post  # a view: it would keep post alive
             counts.n1[i], counts.nt[i] = fit_counts.n1, fit_counts.nt
+        del post  # the next posterior allocates its own (R, P_max, T) table
         if len(gone) == len(live):
             break
         if gone:
-            live, a, b, flagged, n1, nt = _compact(gone, live, a, b, flagged, counts.n1, counts.nt)
+            live, stack, a, b, flagged, n1, nt = _compact(
+                gone, live, stack, a, b, flagged, counts.n1, counts.nt
+            )
             counts = ExpectedCounts(n1=n1, nt=nt)
         iteration += 1
 
@@ -305,7 +327,9 @@ def _run_em(
                     gone.append(i)
             if len(gone) == len(live):
                 break
-            live, a, b, flagged, n1, nt = _compact(gone, live, a, b, flagged, counts.n1, counts.nt)
+            live, stack, a, b, flagged, n1, nt = _compact(
+                gone, live, stack, a, b, flagged, counts.n1, counts.nt
+            )
             counts = ExpectedCounts(n1=n1, nt=nt)
             new_a, new_b, degenerate, deltas = _checked_mstep(mstep, a, b, counts)
         flagged |= degenerate
@@ -336,11 +360,14 @@ def _checked_mstep(mstep, a, b, counts) -> tuple:
     return new_a, new_b, degenerate, deltas
 
 
-def _compact(gone: list[int], live: list[int], *arrays: np.ndarray) -> list:
-    """live and the rows of each stacked array, without the positions in gone."""
+def _compact(
+    gone: list[int], live: list[int], stack: expectation.PatternStack, *arrays: np.ndarray
+) -> list:
+    """live, the stack and the rows of each stacked array, without the positions in gone."""
     keep = np.ones(len(live), dtype=bool)
     keep[gone] = False
-    return [[r for r, k in zip(live, keep.tolist()) if k], *(x[keep] for x in arrays)]
+    live = [r for r, k in zip(live, keep.tolist()) if k]
+    return [live, stack.select(keep), *(x[keep] for x in arrays)]
 
 
 def _one_fit(outcomes: list[FitResult | Exception]) -> FitResult:

@@ -1,8 +1,10 @@
 """Lockstep EM: R fits in one loop, each bit-identical to the same fit run alone."""
+import warnings
+
 import numpy as np
 import pytest
 
-from emirt import em_nr, em_ols
+from emirt import em_nr, em_ols, expectation
 from emirt.em_ols import FitConfig, FitResult
 from emirt.expectation import PosteriorUnderflowError
 from emirt.model import ItemParams, ModelKind
@@ -58,10 +60,10 @@ def test_lockstep_fits_are_bit_identical_to_fits_alone(tables, estimator, model,
     assert [outcome_repr(o) for o in together] == [outcome_repr(o) for o in alone]
 
 
-def nan_pattern_table(data):
-    """data with a NaN response in its first pattern: the fit raises at its first E-step."""
+def nan_pattern_table(data, index=0):
+    """data with a NaN response in pattern index: the fit raises at its first E-step."""
     x = data.patterns.astype(np.float64)
-    x[0, 0] = np.nan
+    x[index, 0] = np.nan
     return PatternData(patterns=x, freqs=data.freqs)
 
 
@@ -77,8 +79,10 @@ def test_raising_and_capped_fits_leave_the_others_unaffected(estimator):
     cell = [tabulate(generate(TRUTH[ModelKind.TWO_PL], 5000, seed)) for seed in seeds]
     batch = [*cell[:5], nan_pattern_table(cell[5]), *cell[5:]]
     cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=15, max_iter=50)
-    alone = one_at_a_time(fit_fn, batch, cfg)
-    together = lockstep(batch, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # NaN estimates fail without numpy noise
+        alone = one_at_a_time(fit_fn, batch, cfg)
+        together = lockstep(batch, cfg)
     assert [outcome_repr(o) for o in together] == [outcome_repr(o) for o in alone]
 
     raised = [o for o in together if isinstance(o, Exception)]
@@ -89,6 +93,55 @@ def test_raising_and_capped_fits_leave_the_others_unaffected(estimator):
     fits = [o for o in together if isinstance(o, FitResult)]
     assert any(f.converged for f in fits)
     assert any(not f.converged and f.iterations == cfg.max_iter for f in fits)
+
+
+@pytest.mark.parametrize("block_rows", [7, expectation.BLOCK_ROWS])
+@pytest.mark.parametrize("model", [ModelKind.ONE_PL, ModelKind.TWO_PL], ids=["1pl", "2pl"])
+@pytest.mark.parametrize("estimator", sorted(ENGINES))
+def test_tables_of_very_different_lengths(estimator, model, block_rows, monkeypatch):
+    """3 persons beside 5000: most of a short table's stacked rows are padding.
+
+    At 7 rows per block every long table spans several blocks, and the
+    table with a NaN in pattern 17 fails in its third block.
+    """
+    monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+    fit_fn, lockstep = ENGINES[estimator]
+    sizes = (3, 5000, 40, 5000)
+    batch = [tabulate(generate(TRUTH[model], n, seed)) for seed, n in enumerate(sizes)]
+    batch.insert(2, nan_pattern_table(batch[1], index=17))
+    assert batch[0].n_patterns <= 3 and batch[1].n_patterns > 3 * 7
+    cfg = FitConfig(model=model, n_quads=8, max_iter=15)
+    alone = one_at_a_time(fit_fn, batch, cfg)
+    together = lockstep(batch, cfg)
+    assert [outcome_repr(o) for o in together] == [outcome_repr(o) for o in alone]
+    assert together[2].pattern_index == alone[2].pattern_index == 17
+
+
+@pytest.mark.parametrize("estimator", sorted(ENGINES))
+def test_one_stacked_estep_per_iteration(tables, estimator, monkeypatch):
+    """The number of E-step calls is the longest fit's, whatever the number of fits."""
+    _, lockstep = ENGINES[estimator]
+    original = expectation.posterior
+    live_per_call = []
+
+    def counted(stack, prob, grid):
+        assert stack.n_patterns == max(data.n_patterns for data in stack.tables)
+        assert stack.n_items == len(TRUTH[ModelKind.TWO_PL])
+        live_per_call.append(len(stack.tables))
+        return original(stack, prob, grid)
+
+    monkeypatch.setattr(expectation, "posterior", counted)
+    cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=4, max_iter=100)
+    one = tables[ModelKind.TWO_PL][0]
+    for n_fits in (1, 3, 5):
+        live_per_call.clear()
+        (outcome, *_) = lockstep([one] * n_fits, cfg)
+        assert live_per_call == [n_fits] * (outcome.iterations + 1)
+
+        live_per_call.clear()
+        outcomes = lockstep(tables[ModelKind.TWO_PL][:n_fits], cfg)
+        assert len(live_per_call) == 1 + max(o.iterations for o in outcomes)
+        assert live_per_call[0] == n_fits and live_per_call == sorted(live_per_call, reverse=True)
 
 
 def test_one_table_lockstep_is_the_fit():

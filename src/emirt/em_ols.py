@@ -194,11 +194,6 @@ def _item_params(a: np.ndarray, b: np.ndarray) -> list[ItemParams]:
     return [ItemParams(a=a_j, b=b_j) for a_j, b_j in zip(a.tolist(), b.tolist())]
 
 
-# A non-finite y in the OLS M-step makes the fit's estimates non-finite, and
-# _checked_mstep turns them into the fit's error: numpy's warnings on the
-# way would be noise.  Set once per call: entered per M-step, np.errstate
-# took 0.6% of the time of one-table fits.
-@np.errstate(divide="ignore", invalid="ignore")
 def _run_em(
     datas: Sequence[PatternData],
     cfg: FitConfig,
@@ -212,16 +207,20 @@ def _run_em(
     b = 0.  The fits' parameters are (R, J) float64 arrays a and b, and the
     M-step, the probability matrices and the phi residuals each run once
     per iteration on the stacked (R, J, T) arrays.  The E-step is one
-    posterior call per iteration on the live fits' PatternStack, built
-    once and compacted as fits leave: its row-local work (the pattern
-    products, log-sum-exp and exp) runs once over the zero-padded stack.
-    Every reduction over patterns stays per fit, on that fit's own rows:
-    its log-likelihood, its PosteriorUnderflowError, and one
-    expected_counts call on its slice of the posterior.  A zero-padded
-    stacked N_t product moved fits by up to 6.0e-4 at T = 15.  A stacked
-    numpy operation computes each fit's slice as a one-fit call does, so
-    every fit is bit-identical to a fit run alone.  An error of the
-    stacked call itself is the outcome of every live fit.
+    posterior call per iteration on each PatternStack of the live fits:
+    PatternStack.split puts consecutive fits into stacks of at most
+    BLOCK_ROWS zero-padded rows, once, and the stacks are compacted as
+    fits leave.  So all fits of small tables share one call, a larger
+    table has a call of its own, and one stack's posterior is held at a
+    time.  A stack's row-local work (the pattern products, log-sum-exp
+    and exp) runs once over it.  Every reduction over patterns stays per
+    fit, on that fit's own rows: its log-likelihood, its
+    PosteriorUnderflowError, and one expected_counts call on its slice of
+    the posterior.  A zero-padded stacked N_t product moved fits by up to
+    6.0e-4 at T = 15.  A stacked numpy operation computes each fit's
+    slice as a one-fit call does, so every fit is bit-identical to a fit
+    run alone.  An error of a stacked call itself is the outcome of each
+    of its fits.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
     degenerate) over the stacked arrays, the last marking items to flag
@@ -253,7 +252,7 @@ def _run_em(
 
     # The live fits' indices into datas, and their rows of the stacked arrays.
     live = list(range(n_fits))
-    stack = expectation.PatternStack.of(datas)
+    stacks = expectation.PatternStack.split(datas)
     a = np.ones((n_fits, n_items))
     b = np.zeros((n_fits, n_items))
     flagged = np.zeros((n_fits, n_items), dtype=bool)
@@ -265,48 +264,53 @@ def _run_em(
     iteration = 0
 
     while True:
-        try:
-            post, logliks = expectation.posterior(stack, prob, grid)
-        except Exception as exc:  # an error of the stacked call is every live fit's outcome
-            for r in live:
-                outcomes[r] = exc
-            break
         gone = []  # positions in live of the fits that leave the lockstep
-        for i, (r, ll) in enumerate(zip(live, logliks)):
-            fit = fits[r]
-            if isinstance(ll, Exception):  # a fit's error is its outcome, never the others'
-                outcomes[r] = ll
-                gone.append(i)
+        end = 0
+        for stack in stacks:
+            start, end = end, end + len(stack.tables)
+            try:
+                post, logliks = expectation.posterior(stack, prob[start:end], grid)
+            except Exception as exc:  # an error of a stacked call is the outcome of its fits
+                for i in range(start, end):
+                    outcomes[live[i]] = exc
+                    gone.append(i)
                 continue
-            if iteration and ll < fit.loglik_trace[-1] - 1e-8:
-                fit.loglik_decreases += 1
-                if ascent_error is not None:
-                    outcomes[r] = ascent_error(
-                        f"log-likelihood fell from {fit.loglik_trace[-1]:.10g} to {ll:.10g} "
-                        f"at iteration {iteration}"
-                    )
+            for i, ll in enumerate(logliks, start):
+                r = live[i]
+                fit = fits[r]
+                if isinstance(ll, Exception):  # a fit's error is its outcome, never the others'
+                    outcomes[r] = ll
                     gone.append(i)
                     continue
-            fit.loglik_trace.append(ll)
-            if stop[i]:
-                fit.params = _item_params(a[i], b[i])
-                fit.flags = [[DEGENERATE_SLOPE] if f else [] for f in flagged[i]]
-                fit.iterations = iteration
-                fit.converged = converged[i]
-                gone.append(i)
-                continue
-            fit_post = post[i, : datas[r].n_patterns]
-            fit_counts = expectation.expected_counts(datas[r], fit_post)
-            if callback is not None:
-                callback(iteration + 1, _item_params(a[i], b[i]), fit_post, fit_counts)
-            del fit_post  # a view: it would keep post alive
-            counts.n1[i], counts.nt[i] = fit_counts.n1, fit_counts.nt
-        del post  # the next posterior allocates its own (R, P_max, T) table
+                if iteration and ll < fit.loglik_trace[-1] - 1e-8:
+                    fit.loglik_decreases += 1
+                    if ascent_error is not None:
+                        outcomes[r] = ascent_error(
+                            f"log-likelihood fell from {fit.loglik_trace[-1]:.10g} to {ll:.10g} "
+                            f"at iteration {iteration}"
+                        )
+                        gone.append(i)
+                        continue
+                fit.loglik_trace.append(ll)
+                if stop[i]:
+                    fit.params = _item_params(a[i], b[i])
+                    fit.flags = [[DEGENERATE_SLOPE] if f else [] for f in flagged[i]]
+                    fit.iterations = iteration
+                    fit.converged = converged[i]
+                    gone.append(i)
+                    continue
+                fit_post = post[i - start, : datas[r].n_patterns]
+                fit_counts = expectation.expected_counts(datas[r], fit_post)
+                if callback is not None:
+                    callback(iteration + 1, _item_params(a[i], b[i]), fit_post, fit_counts)
+                del fit_post  # a view: it would keep post alive
+                counts.n1[i], counts.nt[i] = fit_counts.n1, fit_counts.nt
+            del post  # one stack's posterior at a time
         if len(gone) == len(live):
             break
         if gone:
-            live, stack, a, b, flagged, n1, nt = _compact(
-                gone, live, stack, a, b, flagged, counts.n1, counts.nt
+            live, stacks, a, b, flagged, n1, nt = _compact(
+                gone, live, stacks, a, b, flagged, counts.n1, counts.nt
             )
             counts = ExpectedCounts(n1=n1, nt=nt)
         iteration += 1
@@ -327,8 +331,8 @@ def _run_em(
                     gone.append(i)
             if len(gone) == len(live):
                 break
-            live, stack, a, b, flagged, n1, nt = _compact(
-                gone, live, stack, a, b, flagged, counts.n1, counts.nt
+            live, stacks, a, b, flagged, n1, nt = _compact(
+                gone, live, stacks, a, b, flagged, counts.n1, counts.nt
             )
             counts = ExpectedCounts(n1=n1, nt=nt)
             new_a, new_b, degenerate, deltas = _checked_mstep(mstep, a, b, counts)
@@ -361,13 +365,17 @@ def _checked_mstep(mstep, a, b, counts) -> tuple:
 
 
 def _compact(
-    gone: list[int], live: list[int], stack: expectation.PatternStack, *arrays: np.ndarray
+    gone: list[int], live: list[int], stacks: list[expectation.PatternStack], *arrays: np.ndarray
 ) -> list:
-    """live, the stack and the rows of each stacked array, without the positions in gone."""
+    """live, the stacks and the rows of each stacked array, without the positions in gone."""
     keep = np.ones(len(live), dtype=bool)
     keep[gone] = False
     live = [r for r, k in zip(live, keep.tolist()) if k]
-    return [live, stack.select(keep), *(x[keep] for x in arrays)]
+    ends = np.cumsum([len(stack.tables) for stack in stacks])
+    stacks = [
+        stack.select(k) for stack, k in zip(stacks, np.split(keep, ends[:-1])) if k.any()
+    ]
+    return [live, stacks, *(x[keep] for x in arrays)]
 
 
 def _one_fit(outcomes: list[FitResult | Exception]) -> FitResult:
@@ -381,6 +389,9 @@ def _one_fit(outcomes: list[FitResult | Exception]) -> FitResult:
 def _make_ols_mstep(grid: QuadratureGrid, model: ModelKind):
     eps = 1.0 / (1.0 + math.exp(log_odds_cap(grid)))
 
+    # A non-finite y makes the fit's estimates non-finite, and _checked_mstep
+    # turns them into the fit's error: numpy's warnings on the way are noise.
+    @np.errstate(divide="ignore", invalid="ignore")
     def mstep(a, b, counts):
         return ols_mstep(latent_responses(counts, eps=eps), grid, model)
 

@@ -42,7 +42,7 @@ class ExpectedCounts:
     expected_counts gives one fit's (J, T) and (T,) arrays, summed over that
     fit's own patterns only; the lockstep EM loop stacks R fits' counts
     along a leading replication axis.  The posteriors they come from are
-    one stacked call, but the counts are not: a zero-padded (P_max,) @
+    stacked, but the counts are not: a zero-padded (P_max,) @
     (P_max, T) product for nt moved fits by up to 6.0e-4 at T = 15.
     """
 
@@ -78,7 +78,9 @@ def response_prob_matrix(a: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> 
 
 # Rows of the pattern table per E-step block.  A block of 2048 x 30 float64
 # patterns, its complement and its (2048, T) intermediates stay within a
-# 2 MiB L2 cache; a table of at most BLOCK_ROWS patterns is one block.
+# 2 MiB L2 cache; a table of at most BLOCK_ROWS patterns is one block.  A
+# PatternStack of several tables holds at most BLOCK_ROWS rows in all, so
+# it is one block too, and its posterior is no larger than one block's.
 BLOCK_ROWS = 2048
 
 # The caller and _helpers pool threads work through the blocks of a larger
@@ -188,6 +190,24 @@ class PatternStack:
             rows[: data.n_patterns] = data.patterns
         return cls(tables, patterns)
 
+    @classmethod
+    def split(cls, tables: Sequence[PatternData]) -> list[PatternStack]:
+        """The stacks of consecutive runs of tables, in order.
+
+        A run is as long as its R tables, padded to its longest table's
+        P_max rows, while R * P_max <= BLOCK_ROWS; a longer table is a run of
+        its own.  So the E-step's memory is that of a one-table fit, at any
+        number of fits.
+        """
+        runs, run, longest = [], [], 0
+        for data in tables:
+            if run and (len(run) + 1) * max(longest, data.n_patterns) > BLOCK_ROWS:
+                runs.append(run)
+                run, longest = [], 0
+            run.append(data)
+            longest = max(longest, data.n_patterns)
+        return [cls.of(run) for run in runs + [run] if run]
+
     @property
     def n_patterns(self) -> int:
         """P_max, the rows of each table's slice."""
@@ -199,6 +219,8 @@ class PatternStack:
 
     def select(self, keep: np.ndarray) -> PatternStack:
         """The stack of the tables where keep is true, padded to the longest of them."""
+        if keep.all():
+            return self
         tables = [data for data, k in zip(self.tables, keep.tolist()) if k]
         return PatternStack(tables, self.patterns[keep, : max(data.n_patterns for data in tables)])
 
@@ -271,7 +293,8 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
 
     For a PatternStack of R fits, prob is the (R, J, T) stack of their
     matrices, and the pattern products, log-sum-exp and exp run once over
-    the stacked row blocks.  Returns (post, logliks): post is
+    the stacked row blocks; PatternStack.split bounds a stack's size.
+    Returns (post, logliks): post is
     (R, P_max, T), valid in the first P_r rows of slice r, and logliks[r]
     is fit r's log-likelihood or its PosteriorUnderflowError.  Each
     log-likelihood sums over its own fit's rows only, so every fit gets

@@ -144,6 +144,52 @@ def test_one_stacked_estep_per_iteration(tables, estimator, monkeypatch):
         assert live_per_call[0] == n_fits and live_per_call == sorted(live_per_call, reverse=True)
 
 
+@pytest.mark.parametrize("estimator", sorted(ENGINES))
+def test_stacks_hold_at_most_block_rows(estimator, monkeypatch):
+    """Fits whose tables stack past BLOCK_ROWS rows are split over several E-step calls.
+
+    At 40 rows per block, 3-person tables stack, and a 1000-person table
+    (over 20 patterns) has a call of its own.  The fits stay bit-identical.
+    """
+    monkeypatch.setattr(expectation, "BLOCK_ROWS", 40)
+    fit_fn, lockstep = ENGINES[estimator]
+    sizes = (3, 3, 1000, 1000, 3)
+    batch = [tabulate(generate(TRUTH[ModelKind.TWO_PL], n, seed)) for seed, n in enumerate(sizes)]
+    assert max(data.n_patterns for data in batch[:2]) <= 3 and batch[2].n_patterns > 20
+    original = expectation.posterior
+    fits_per_call = []
+
+    def counted(stack, prob, grid):
+        fits_per_call.append(len(stack.tables))
+        assert len(stack.tables) == 1 or len(stack.tables) * stack.n_patterns <= 40
+        return original(stack, prob, grid)
+
+    monkeypatch.setattr(expectation, "posterior", counted)
+    cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=5, max_iter=30)
+    together = lockstep(batch, cfg)
+    assert fits_per_call[:4] == [2, 1, 1, 1]
+    monkeypatch.setattr(expectation, "posterior", original)
+    alone = one_at_a_time(fit_fn, batch, cfg)
+    assert [outcome_repr(o) for o in together] == [outcome_repr(o) for o in alone]
+
+
+def test_split_stacks_consecutive_tables_within_block_rows(monkeypatch):
+    """At 5 rows per block: 2 + 1, then 2 + 2 (3 * 2 > 5), then 1, then 7 alone."""
+    monkeypatch.setattr(expectation, "BLOCK_ROWS", 5)
+    full = tabulate(generate(TRUTH[ModelKind.ONE_PL], 300, 0))
+    batch = [PatternData(full.patterns[:n], full.freqs[:n]) for n in (2, 1, 2, 2, 1, 7)]
+    stacks = expectation.PatternStack.split(batch)
+    assert [len(stack.tables) for stack in stacks] == [2, 2, 1, 1]
+    assert [stack.n_patterns for stack in stacks] == [2, 2, 1, 7]
+    assert [data for stack in stacks for data in stack.tables] == batch
+    for stack in stacks:
+        for rows, data in zip(stack.patterns, stack.tables):
+            assert np.array_equal(rows[: data.n_patterns], data.patterns)
+            assert not rows[data.n_patterns:].any()
+    assert np.shares_memory(stacks[3].patterns, batch[5].patterns)  # one table: a view
+    assert expectation.PatternStack.split([]) == []
+
+
 def test_one_table_lockstep_is_the_fit():
     data = tabulate(generate(TRUTH[ModelKind.TWO_PL], 2000, 3))
     cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=6)

@@ -208,19 +208,20 @@ def _run_em(
     M-step, the probability matrices and the phi residuals each run once
     per iteration on the stacked (R, J, T) arrays.  The E-step is one
     posterior call per iteration on each PatternStack of the live fits:
-    PatternStack.split puts consecutive fits into stacks of at most
-    BLOCK_ROWS zero-padded rows, once, and the stacks are compacted as
-    fits leave.  So all fits of small tables share one call, a larger
-    table has a call of its own, and one stack's posterior is held at a
-    time.  A stack's row-local work (the pattern products, log-sum-exp
-    and exp) runs once over it.  Every reduction over patterns stays per
-    fit, on that fit's own rows: its log-likelihood, its
-    PosteriorUnderflowError, and one expected_counts call on its slice of
-    the posterior.  A zero-padded stacked N_t product moved fits by up to
-    6.0e-4 at T = 15.  A stacked numpy operation computes each fit's
-    slice as a one-fit call does, so every fit is bit-identical to a fit
-    run alone.  An error of a stacked call itself is the outcome of each
-    of its fits.
+    the fits are ordered by table length, PatternStack.split puts
+    neighbouring fits into stacks of at most BLOCK_ROWS zero-padded rows,
+    once, and the stacks are compacted as fits leave.  So all fits of
+    small tables share one call, a larger table has a call of its own,
+    and one stack's posterior is held at a time.  A stack's log-sum-exp
+    and exp run once over it, and its pattern products once per run of
+    tables of one length, over their own rows.  Every reduction over
+    patterns stays per fit, on that fit's own rows: its log-likelihood,
+    its PosteriorUnderflowError, and one expected_counts call on its
+    slice of the posterior.  A zero-padded stacked N_t product moved fits
+    by up to 6.0e-4 at T = 15.  A stacked numpy operation computes each
+    fit's slice as a one-fit call does, so every fit is bit-identical to
+    a fit run alone.  An error of a stacked call itself is the outcome of
+    each of its fits.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
     degenerate) over the stacked arrays, the last marking items to flag
@@ -251,8 +252,10 @@ def _run_em(
     outcomes: list[FitResult | Exception] = list(fits)
 
     # The live fits' indices into datas, and their rows of the stacked arrays.
-    live = list(range(n_fits))
-    stacks = expectation.PatternStack.split(datas)
+    # Ordered by table length: tables of one length are neighbours in a stack
+    # and share their pattern products' calls, and short tables share stacks.
+    live = sorted(range(n_fits), key=lambda r: datas[r].n_patterns)
+    stacks = expectation.PatternStack.split([datas[r] for r in live])
     a = np.ones((n_fits, n_items))
     b = np.zeros((n_fits, n_items))
     flagged = np.zeros((n_fits, n_items), dtype=bool)

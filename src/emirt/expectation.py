@@ -254,12 +254,16 @@ def _normalise_block(rows, patterns, runs, log_p, log_q, log_w, norm, post) -> N
     own.
     """
     x_b = patterns[:, rows].astype(np.float64)
-    log_joint = np.zeros((*x_b.shape[:2], log_w.size))
-    for fits, n in runs:
-        x = x_b[fits, : max(n - rows.start, 0)]
-        product = x @ log_p[fits]
-        product += (1.0 - x) @ log_q[fits]
-        log_joint[fits, : x.shape[1]] = product
+    if len(runs) == 1:  # equally long tables, as one table is: no padding rows
+        log_joint = x_b @ log_p
+        log_joint += (1.0 - x_b) @ log_q
+    else:
+        log_joint = np.zeros((*x_b.shape[:2], log_w.size))
+        for fits, n in runs:
+            x = x_b[fits, : max(n - rows.start, 0)]
+            product = x @ log_p[fits]
+            product += (1.0 - x) @ log_q[fits]
+            log_joint[fits, : x.shape[1]] = product
     log_joint += log_w
     peak = np.maximum.reduce(log_joint, axis=-1, keepdims=True)
     norm_b = norm[:, rows]

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -147,13 +146,24 @@ def is_outlier(p: ItemParams, model: ModelKind, degenerate: bool = False) -> boo
 
 
 def resolve_workers(flag: int | None = None) -> int:
-    """Worker count: explicit flag wins, then IRT_THREADS, then 1."""
+    """Worker count: explicit flag wins, then IRT_THREADS, then 1.
+
+    A count below 1, or an IRT_THREADS that is not an integer, raises
+    ValueError naming where the value came from.
+    """
     if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("IRT_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+        source, value = "--workers", flag
+    else:
+        source, value = "IRT_THREADS", os.environ.get("IRT_THREADS")
+        if not value:
+            return 1
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if workers < 1:
+        raise ValueError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def fit_estimator(data, estimator: str, cfg: FitConfig):
@@ -182,29 +192,14 @@ def _record(rep: int, estimator: str, n_quads: int, wall_ms: float, outcome) -> 
     )
 
 
-def _run_replication(args) -> list[_FitRecord]:
-    """One replication's fits, one at a time, each with its own wall time."""
-    rep, design, estimators, seed = args
-    matrix = generate(design.true_params, design.n_persons, seed)
-    data = tabulate(matrix)
-    records = []
-    for estimator in estimators:
-        for n_quads in design.t_list:
-            start = time.perf_counter()
-            try:
-                cfg = FitConfig(model=design.model, n_quads=n_quads)
-                outcome = fit_estimator(data, estimator, cfg)
-            except Exception as exc:  # per-fit failures never abort the study
-                outcome = exc
-            wall = (time.perf_counter() - start) * 1e3
-            records.append(_record(rep, estimator, n_quads, wall, outcome))
-    return records
+def _run_cells(
+    design: StudyDesign, estimators: tuple[str, ...], seeds, first: int = 0
+) -> list[_FitRecord]:
+    """The fits of replications first, first + 1, ..., one lockstep EM call per cell.
 
-
-def _run_cells(design: StudyDesign, estimators: tuple[str, ...], seeds) -> list[_FitRecord]:
-    """Every replication's fits, one lockstep EM call per (estimator, node count) cell.
-
-    A fit's wall time is its cell's wall time divided by the cell's fits.
+    seeds holds those replications' seeds, in order; a cell is one
+    (estimator, node count) pair.  A fit's wall time is its cell's wall time
+    divided by the cell's fits.
     """
     tables = [tabulate(generate(design.true_params, design.n_persons, seed)) for seed in seeds]
     records = []
@@ -215,10 +210,15 @@ def _run_cells(design: StudyDesign, estimators: tuple[str, ...], seeds) -> list[
             outcomes = fit_lockstep(tables, FitConfig(model=design.model, n_quads=n_quads))
             wall = (time.perf_counter() - start) * 1e3 / len(tables)
             records.extend(
-                _record(rep, estimator, n_quads, wall, outcome)
-                for rep, outcome in enumerate(outcomes)
+                _record(first + i, estimator, n_quads, wall, outcome)
+                for i, outcome in enumerate(outcomes)
             )
     return records
+
+
+def _run_replication(run) -> list[_FitRecord]:
+    """A pool task: the _run_cells fits of one contiguous run of replications."""
+    return _run_cells(*run)
 
 
 def _aggregate(
@@ -299,10 +299,11 @@ def replicate_study(
 
     Per-replication seeds are spawned from the design seed, so results are
     reproducible and independent of the worker count.  Individual fit
-    failures are counted, never fatal.  With one worker, each (estimator,
-    node count) cell fits all replications in one lockstep EM call, whose
-    fits are bit-identical to one-at-a-time fits; with more, each pool task
-    fits one replication at a time.
+    failures are counted, never fatal.  Each (estimator, node count) cell
+    fits its replications in lockstep EM calls, whose fits are bit-identical
+    to one-at-a-time fits.  With more than one worker, the replications are
+    split into min(workers, reps) contiguous runs, and a pool of that many
+    processes fits one run each, cell by cell.
     """
     estimators = tuple(estimators)
     for est in estimators:
@@ -311,19 +312,18 @@ def replicate_study(
 
     seeds = np.random.SeedSequence(design.seed).spawn(design.reps)
 
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or design.reps == 1:
+    n_runs = min(resolve_workers(workers), design.reps)
+    if n_runs == 1:
         records = _run_cells(design, estimators, seeds)
     else:
-        records = []
-        tasks = [(rep, design, estimators, seeds[rep]) for rep in range(design.reps)]
-        chunk = max(1, design.reps // (n_workers * 4))
-        # the workers already occupy the cores, so each runs its E-step blocks inline
-        with ProcessPoolExecutor(n_workers, initializer=run_blocks_inline) as pool:
-            for result in pool.map(_run_replication, tasks, chunksize=chunk):
-                records.extend(result)
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
-    records.sort(key=lambda r: (r.rep, r.estimator, r.n_quads))
+        edges = [design.reps * k // n_runs for k in range(n_runs + 1)]
+        runs = [(design, estimators, seeds[lo:hi], lo) for lo, hi in zip(edges, edges[1:])]
+        # the workers already occupy the cores, so each runs its E-step blocks inline
+        with ProcessPoolExecutor(n_runs, initializer=run_blocks_inline) as pool:
+            records = [record for run in pool.map(_run_replication, runs) for record in run]
+
     return _aggregate(design, estimators, records)
 
 

@@ -1,10 +1,15 @@
 """Tests for the command-line interface and its file formats."""
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emirt
 from emirt.cli import STUDY_CSV_COLUMNS, main
 from emirt.model import ItemParams
 from emirt.simgen import generate
@@ -232,3 +237,17 @@ class TestQuadstudy:
         assert code == 0
         rows = read_study_csv(out.with_suffix(".csv"))
         assert sorted({r["n_quads"] for r in rows}) == [2, 3, 4, 5, 8, 10, 15]
+
+
+def test_import_loads_no_process_pool():
+    """The process pool's modules load only when a study starts a pool."""
+    src = str(Path(emirt.__file__).resolve().parent.parent)
+    code = (
+        "import sys, emirt.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -123,6 +123,36 @@ class TestResolveWorkers:
         monkeypatch.delenv("IRT_THREADS", raising=False)
         assert resolve_workers(None) == 1
 
+    @pytest.mark.parametrize("flag", [0, -3])
+    def test_flag_below_one_rejected(self, monkeypatch, flag):
+        monkeypatch.setenv("IRT_THREADS", "4")
+        with pytest.raises(ValueError, match=f"--workers must be >= 1, got {flag}"):
+            resolve_workers(flag)
+
+    def test_env_below_one_rejected(self, monkeypatch):
+        monkeypatch.setenv("IRT_THREADS", "0")
+        with pytest.raises(ValueError, match="IRT_THREADS must be >= 1, got 0"):
+            resolve_workers(None)
+
+    def test_env_not_an_integer_rejected(self, monkeypatch):
+        monkeypatch.setenv("IRT_THREADS", "two")
+        with pytest.raises(ValueError, match="IRT_THREADS must be an integer, got 'two'"):
+            resolve_workers(None)
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0"), (None, "1.5")])
+    def test_cli_exits_one_without_output(self, tmp_path, monkeypatch, capsys, flag, env):
+        from emirt.cli import main
+
+        if env is None:
+            monkeypatch.delenv("IRT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("IRT_THREADS", env)
+        argv = ["simulate", "--model", "1pl", "--reps", "2", "--out", str(tmp_path / "out" / "s")]
+        code = main(argv + (["--workers", flag] if flag else []))
+        assert code == 1
+        assert ("--workers" if flag else "IRT_THREADS") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def small_design(**overrides):
     base = dict(
@@ -161,24 +191,57 @@ class TestReplicateStudy:
         assert first.failures == second.failures
 
     def test_rows_independent_of_worker_count(self):
-        """Lockstep cells (one worker) and one fit at a time (the pool) agree."""
-        design = small_design()
-        serial = replicate_study(design, estimators=("ols", "nr"), workers=1)
-        parallel = replicate_study(design, estimators=("ols", "nr"), workers=2)
-        assert serial.rows == parallel.rows
-        # Everything but the wall-clock timing must match.
-        assert replace(serial, timing=()) == replace(parallel, timing=())
+        """Lockstep cells in one process and over contiguous runs in pool workers agree."""
+        # Runs of equal length, of unequal length, and more workers than reps.
+        for reps, workers in [(4, 2), (5, 2), (5, 3), (2, 3)]:
+            design = small_design(reps=reps)
+            serial = replicate_study(design, estimators=("ols", "nr"), workers=1)
+            parallel = replicate_study(design, estimators=("ols", "nr"), workers=workers)
+            assert serial.rows == parallel.rows
+            # Everything but the wall-clock timing must match.
+            assert replace(serial, timing=()) == replace(parallel, timing=())
+
+    @pytest.mark.parametrize("reps", [2, 5])
+    def test_study_csv_independent_of_worker_count(self, tmp_path, reps):
+        from emirt.cli import main
+
+        def study_csv(workers):
+            out = tmp_path / f"workers{workers}" / "study"
+            argv = ["simulate", "--model", "2pl", "--estimator", "both", "--reps", str(reps),
+                    "--n-persons", "300", "--seed", "11", "--workers", str(workers)]
+            assert main(argv + ["--out", str(out)]) == 0
+            manifest, rest = out.with_suffix(".csv").read_bytes().split(b"\n", 1)
+            assert manifest.startswith(b"# manifest: ")
+            return rest
+
+        assert study_csv(1) == study_csv(2) == study_csv(3)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_timing_counts_every_attempted_fit(self, workers):
+    def test_timing_counts_every_attempted_fit(self, monkeypatch, workers):
+        from emirt import simgen
+
+        records = []
+        aggregate = simgen._aggregate
+
+        def recording_aggregate(design, estimators, fits):
+            records.extend(fits)
+            return aggregate(design, estimators, fits)
+
+        monkeypatch.setattr(simgen, "_aggregate", recording_aggregate)
         design = small_design(reps=3, t_list=(2, 3))
         summary = replicate_study(design, estimators=("ols", "nr"), workers=workers)
         assert [(t.estimator, t.n_quads) for t in summary.timing] == [
             ("ols", 2), ("ols", 3), ("nr", 2), ("nr", 3)
         ]
         assert all(t.fits == design.reps for t in summary.timing)
-        if workers == 1:  # a lockstep cell shares its wall time out evenly over its fits
-            assert all(t.min_ms == t.mean_ms == t.max_ms > 0 for t in summary.timing)
+        # A lockstep cell shares its wall time out evenly over its fits.  One
+        # worker fits reps 0-2 as one run; two fit rep 0 and reps 1-2.
+        run_of_rep = [0, 0, 0] if workers == 1 else [0, 1, 1]
+        walls = {}
+        for r in records:
+            walls.setdefault((r.estimator, r.n_quads, run_of_rep[r.rep]), set()).add(r.wall_ms)
+        assert len(walls) == 4 * len(set(run_of_rep))
+        assert all(len(w) == 1 and min(w) > 0 for w in walls.values())
 
     def test_multi_block_rows_independent_of_worker_count(self, monkeypatch):
         """Pool workers run their E-step blocks inline, the parent on its threads."""
@@ -203,18 +266,48 @@ class TestReplicateStudy:
         assert serial.failures == parallel.failures
 
     def test_pool_workers_run_blocks_inline(self, monkeypatch):
-        from emirt import expectation, simgen
+        import concurrent.futures
+
+        from emirt import expectation
 
         initializers = []
 
-        class RecordingPool(simgen.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 initializers.append(kwargs.get("initializer"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(simgen, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         replicate_study(small_design(), workers=2)
         assert initializers == [expectation.run_blocks_inline]
+
+    @pytest.mark.parametrize("reps, workers, runs", [(2, 64, 2), (5, 3, 3), (5, 2, 2)])
+    def test_pool_sized_by_its_runs(self, monkeypatch, reps, workers, runs):
+        """The pool gets min(workers, reps) processes and one task per process."""
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:  # records the pool's size and its tasks, starts no process
+            def __init__(self, max_workers, initializer=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                sizes.append(len(tasks))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        design = small_design(reps=reps)
+        pooled = replicate_study(design, workers=workers)
+        assert sizes == [runs, runs]
+        assert replace(pooled, timing=()) == replace(replicate_study(design), timing=())
 
     def test_both_estimators_and_t_sweep_keys(self):
         design = small_design(reps=2, t_list=(2, 3))
@@ -251,11 +344,13 @@ class TestReplicateStudy:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(expectation, "posterior", broken_posterior)
-        for workers in (1, 2):  # lockstep cells, then one fit at a time in pool workers
-            summary = replicate_study(small_design(), workers=workers)
-            assert summary.failures == 4
+        # One run, then runs of equal length, of unequal length, and more workers than reps.
+        for reps, workers in [(4, 1), (4, 2), (5, 2), (5, 3), (2, 3)]:
+            summary = replicate_study(small_design(reps=reps), workers=workers)
+            assert summary.failures == reps
             assert all(row.reps == 0 for row in summary.rows)
             assert all(np.isnan(row.mean_a) for row in summary.rows)
+            assert all(t.fits == reps for t in summary.timing)
 
 
 class TestQuadStudy:

@@ -170,7 +170,7 @@ def cmd_fit(args) -> int:
     data_path = Path(args.data)
     try:
         raw = data_path.read_bytes()
-        matrix = load_response_csv(data_path)
+        matrix = load_response_csv(data_path, raw)
         data = tabulate(matrix)
     except (OSError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from contextvars import copy_context
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,14 +94,19 @@ _helpers: int | None = None
 _pool: ThreadPoolExecutor | None = None
 
 
-def run_blocks_inline() -> None:
-    """Run every E-step block on the calling thread from now on.
+@contextmanager
+def blocks_inline():
+    """Run every E-step block on the calling thread inside the with block.
 
-    The initializer of study pool workers: those processes already occupy
-    the cores.
+    The processes of a study pool fit under it: together they already
+    occupy the cores.  _helpers is restored on exit.
     """
     global _helpers
-    _helpers = 0
+    saved, _helpers = _helpers, 0
+    try:
+        yield
+    finally:
+        _helpers = saved
 
 
 def _forget_pool() -> None:

@@ -81,7 +81,7 @@ def tabulate(matrix) -> PatternData:
             col=int(c) + 1,
         )
 
-    arr = arr.astype(np.uint8)
+    arr = arr.astype(np.uint8, copy=False)
     totals = arr.sum(axis=0)
     n = arr.shape[0]
     for j, t in enumerate(totals):
@@ -92,28 +92,53 @@ def tabulate(matrix) -> PatternData:
                 stacklevel=2,
             )
 
-    # Each row packs into ceil(I/8) bytes, first item in the high bit, so
-    # comparing the packed rows as byte strings orders them lexicographically.
-    packed = np.packbits(arr, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    first, counts = _distinct_rows(np.packbits(arr, axis=1))
     pats = arr[first]
     pats.setflags(write=False)
-    counts = counts.astype(np.int64)
     counts.setflags(write=False)
     return PatternData(patterns=pats, freqs=counts)
 
 
-def load_response_csv(path: str | Path) -> np.ndarray:
+def _distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index and the count of each distinct row of packed, in row order.
+
+    packed is (N, B) uint8, each row a pattern packed first item in the high
+    bit, so its bytes read as a big-endian unsigned integer, zero-padded on
+    the right, order the patterns lexicographically.  A row of at most 8
+    bytes is one integer of 1, 2, 4 or 8 bytes, which a stable argsort
+    orders (by radix for 1 and 2 bytes); a longer row is a run of 8-byte
+    words, ordered by lexsort.  The sorts are stable, so each distinct row
+    keeps its first index, as np.unique's return_index does.
+    """
+    n, width = packed.shape
+    key_bytes = next((w for w in (1, 2, 4) if width <= w), -(-width // 8) * 8)
+    if key_bytes != width:
+        packed = np.pad(packed, ((0, 0), (0, key_bytes - width)))
+    word = min(key_bytes, 8)
+    words = packed.view(f">u{word}").astype(f"u{word}")
+    if words.shape[1] == 1:
+        order = np.argsort(words[:, 0], kind="stable")
+    else:
+        order = np.lexsort(words.T[::-1])  # lexsort's last key is the primary one
+    words = words[order]
+    new_row = np.ones(n, dtype=bool)
+    np.any(words[1:] != words[:-1], axis=1, out=new_row[1:])
+    starts = np.flatnonzero(new_row)
+    return order[starts], np.diff(starts, append=n).astype(np.int64, copy=False)
+
+
+def load_response_csv(path: str | Path, raw: bytes | None = None) -> np.ndarray:
     """Read a response CSV: one person per row, comma-separated 0/1 values.
 
     An optional header row is detected by the presence of any token that is
     not 0 or 1.  Accepts LF or CRLF line endings.  A strict file (0/1
     values, bare commas, LF line ends, final newline) is parsed as one
     byte array; any other file goes to the csv-module parser, which owns
-    every IngestionError.
+    every IngestionError.  raw, when given, is the file's bytes, already
+    read by the caller; path then only names the file in errors.
     """
-    raw = Path(path).read_bytes()
+    if raw is None:
+        raw = Path(path).read_bytes()
     matrix = _parse_strict(raw)
     return matrix if matrix is not None else _parse_csv(raw, path)
 

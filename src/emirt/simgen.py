@@ -11,7 +11,7 @@ import numpy as np
 
 from . import em_nr, em_ols
 from .em_ols import DEGENERATE_SLOPE, FitConfig
-from .expectation import logistic, run_blocks_inline
+from .expectation import blocks_inline, logistic
 from .model import ItemParams, ModelKind
 from .patterns import tabulate
 
@@ -221,6 +221,62 @@ def _run_replication(run) -> list[_FitRecord]:
     return _run_cells(*run)
 
 
+def _send_run(run, writer) -> None:
+    """A pool process: send the records of run, or the exception it raised, to the caller."""
+    with blocks_inline():
+        try:
+            outcome = _run_replication(run)
+        except Exception as exc:
+            outcome = exc
+    writer.send(outcome)
+
+
+def _fit_runs(runs) -> list[_FitRecord]:
+    """The records of the runs, in run order, with one process fitting each run.
+
+    The calling process fits the first run, and a process started for each
+    further run sends its records back through a one-way pipe.  Every
+    process runs its E-step blocks inline, since together they occupy the
+    cores.  A child's exception is raised here, and so is a RuntimeError for
+    a child that ended without sending.  On any error the children still
+    running are terminated; every child is joined before this returns.
+    """
+    import multiprocessing  # loaded only for a pool
+
+    children = []
+    try:
+        for run in runs[1:]:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_send_run, args=(run, writer))
+            child.start()
+            children.append((child, reader, run))
+            # Closed before the next child starts, so that only this child holds
+            # the write end, and recv reads end-of-file once it has exited.
+            writer.close()
+        with blocks_inline():
+            records = _run_replication(runs[0])
+        for _, reader, (_, _, seeds, first) in children:
+            try:
+                outcome = reader.recv()
+            except EOFError:
+                raise RuntimeError(
+                    f"the process fitting replications {first}-{first + len(seeds) - 1} "
+                    "ended without sending their records"
+                ) from None
+            if isinstance(outcome, Exception):
+                raise outcome
+            records.extend(outcome)
+    except BaseException:
+        for child, _, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader, _ in children:
+            child.join()
+            reader.close()
+    return records
+
+
 def _aggregate(
     design: StudyDesign, estimators: tuple[str, ...], records: list[_FitRecord]
 ) -> StudySummary:
@@ -302,8 +358,10 @@ def replicate_study(
     failures are counted, never fatal.  Each (estimator, node count) cell
     fits its replications in lockstep EM calls, whose fits are bit-identical
     to one-at-a-time fits.  With more than one worker, the replications are
-    split into min(workers, reps) contiguous runs, and a pool of that many
-    processes fits one run each, cell by cell.
+    split into min(workers, reps) contiguous runs, and that many processes
+    fit one run each, cell by cell: the calling process fits the first run
+    and starts one process for each further run.  Every such process has
+    ended when this returns or raises.
     """
     estimators = tuple(estimators)
     for est in estimators:
@@ -316,13 +374,10 @@ def replicate_study(
     if n_runs == 1:
         records = _run_cells(design, estimators, seeds)
     else:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
-
         edges = [design.reps * k // n_runs for k in range(n_runs + 1)]
-        runs = [(design, estimators, seeds[lo:hi], lo) for lo, hi in zip(edges, edges[1:])]
-        # the workers already occupy the cores, so each runs its E-step blocks inline
-        with ProcessPoolExecutor(n_runs, initializer=run_blocks_inline) as pool:
-            records = [record for run in pool.map(_run_replication, runs) for record in run]
+        records = _fit_runs(
+            [(design, estimators, seeds[lo:hi], lo) for lo, hi in zip(edges, edges[1:])]
+        )
 
     return _aggregate(design, estimators, records)
 

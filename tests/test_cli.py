@@ -66,6 +66,25 @@ class TestFit:
         assert isinstance(payload["loglik_decreases"], int)
         assert 0 <= payload["loglik_decreases"] <= payload["iterations"]
 
+    def test_reads_the_data_file_once(self, response_csv, tmp_path, monkeypatch):
+        """The manifest digest and the fit come from one read of the file."""
+        import hashlib
+
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        out = tmp_path / "fit.json"
+        argv = ["fit", str(response_csv), "--model", "1pl", "--n-quads", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert reads == [response_csv]
+        digest = json.loads(out.read_text())["manifest"]["input_digest"]
+        assert digest == hashlib.sha256(read_bytes(response_csv)).hexdigest()
+
     def test_more_than_62_items(self, tmp_path):
         truth = [ItemParams(a=1, b=b) for b in np.linspace(-1.5, 1.5, 70)]
         path = tmp_path / "wide.csv"

@@ -66,7 +66,7 @@ class TestTabulate:
         with pytest.warns(UserWarning, match="item 2"):
             tabulate([[0, 1], [1, 1]])
 
-    @pytest.mark.parametrize("n_items", [1, 7, 8, 9, 62, 63, 64, 70, 200])
+    @pytest.mark.parametrize("n_items", [1, 7, 8, 9, 16, 17, 32, 33, 62, 63, 64, 70, 200])
     def test_matches_row_unique_at_byte_boundaries(self, n_items):
         """Packed rows span ceil(I/8) bytes; the table must not depend on it."""
         rng = np.random.default_rng(n_items)

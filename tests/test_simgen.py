@@ -1,4 +1,7 @@
 """Tests for data generation and the replication harness."""
+import multiprocessing
+import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -167,6 +170,33 @@ def small_design(**overrides):
     return StudyDesign(**base)
 
 
+@pytest.fixture
+def inline_processes(monkeypatch):
+    """Replace multiprocessing.Process by a stand-in that starts no process.
+
+    A stand-in runs its target in this process when started.  Returns the
+    list of stand-ins started.
+    """
+    started = []
+
+    class InlineProcess:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            started.append(self)
+            self.target(*self.args)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+    return started
+
+
 class TestReplicateStudy:
     def test_single_rep_restates_the_fit(self):
         from emirt.em_ols import FitConfig, fit
@@ -265,49 +295,67 @@ class TestReplicateStudy:
         assert repr(serial.rows) == repr(parallel.rows)
         assert serial.failures == parallel.failures
 
-    def test_pool_workers_run_blocks_inline(self, monkeypatch):
-        import concurrent.futures
+    def test_pool_workers_run_blocks_inline(self, monkeypatch, inline_processes):
+        """The children start first, then the caller fits; each runs its blocks inline."""
+        from emirt import expectation, simgen
 
-        from emirt import expectation
+        helpers = []
+        run_replication = simgen._run_replication
 
-        initializers = []
+        def recording(run):
+            helpers.append((run[3], expectation._helpers))
+            return run_replication(run)
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                initializers.append(kwargs.get("initializer"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        replicate_study(small_design(), workers=2)
-        assert initializers == [expectation.run_blocks_inline]
+        monkeypatch.setattr(simgen, "_run_replication", recording)
+        monkeypatch.setattr(expectation, "_helpers", 3)
+        replicate_study(small_design(reps=4), workers=3)
+        assert helpers == [(1, 0), (2, 0), (0, 0)]
+        assert expectation._helpers == 3
 
     @pytest.mark.parametrize("reps, workers, runs", [(2, 64, 2), (5, 3, 3), (5, 2, 2)])
-    def test_pool_sized_by_its_runs(self, monkeypatch, reps, workers, runs):
-        """The pool gets min(workers, reps) processes and one task per process."""
-        import concurrent.futures
-
-        sizes = []
-
-        class InlinePool:  # records the pool's size and its tasks, starts no process
-            def __init__(self, max_workers, initializer=None):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                sizes.append(len(tasks))
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    def test_pool_sized_by_its_runs(self, inline_processes, reps, workers, runs):
+        """min(workers, reps) processes fit, the caller one of them: runs - 1 are started."""
         design = small_design(reps=reps)
         pooled = replicate_study(design, workers=workers)
-        assert sizes == [runs, runs]
+        assert len(inline_processes) == runs - 1
         assert replace(pooled, timing=()) == replace(replicate_study(design), timing=())
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a child runs the patched run only when forked",
+    )
+    @pytest.mark.parametrize(
+        "failing_run, raised",
+        [(1, ZeroDivisionError), (1, RuntimeError), (0, KeyboardInterrupt)],
+        ids=["child-raises", "child-exits-without-sending", "caller-interrupted"],
+    )
+    def test_a_failed_run_fails_the_study_and_leaves_no_process(
+        self, monkeypatch, failing_run, raised
+    ):
+        """The study raises, and the children still fitting are terminated and joined."""
+        from emirt import expectation, simgen
+
+        run_replication = simgen._run_replication
+
+        def failing(run):
+            if run[3] == failing_run:
+                if raised is RuntimeError:
+                    os._exit(3)
+                raise raised("the failing run")
+            if run[3] > 0:
+                time.sleep(60)
+            return run_replication(run)
+
+        monkeypatch.setattr(simgen, "_run_replication", failing)
+        monkeypatch.setattr(expectation, "_helpers", 3)
+        start = time.perf_counter()
+        with pytest.raises(raised) as error:
+            replicate_study(small_design(reps=3), workers=3)
+        assert time.perf_counter() - start < 30  # the sleeping child did not run out its time
+        if raised is RuntimeError:
+            assert "replications 1-1" in str(error.value)
+        assert multiprocessing.active_children() == []
+        assert expectation._helpers == 3
 
     def test_both_estimators_and_t_sweep_keys(self):
         design = small_design(reps=2, t_list=(2, 3))

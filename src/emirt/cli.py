@@ -387,9 +387,9 @@ def _add_study_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--true-a", default=None, help="comma-separated discriminations")
     sub.add_argument("--true-b", default=None, help="comma-separated difficulties")
     sub.add_argument("--workers", type=int, default=None,
-                     help="pool processes, each fitting one contiguous run of "
-                     "replications (at most one per replication; overrides "
-                     "IRT_THREADS; default 1)")
+                     help="processes fitting the study, each one contiguous run "
+                     "of replications: this process and N-1 started ones (at most "
+                     "one per replication; overrides IRT_THREADS; default 1)")
     sub.add_argument("--out", required=True, help="output stem; writes .csv and .json")
 
 

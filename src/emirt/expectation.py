@@ -34,6 +34,10 @@ class PosteriorUnderflowError(ArithmeticError):
         )
         self.pattern_index = pattern_index
 
+    def __reduce__(self):
+        # rebuilt from its index, not its message, when a study process sends it
+        return type(self), (self.pattern_index,)
+
 
 @dataclass(frozen=True)
 class ExpectedCounts:

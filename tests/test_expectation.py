@@ -132,6 +132,13 @@ class TestPosterior:
             posterior_at(data, [ItemParams(a=1, b=0)], dead_grid)
         assert err.value.pattern_index == 0
 
+    def test_underflow_error_survives_pickling(self):
+        """A study process sends its run's exception to the caller pickled."""
+        import pickle
+
+        err = pickle.loads(pickle.dumps(PosteriorUnderflowError(3)))
+        assert (str(err), err.pattern_index) == (str(PosteriorUnderflowError(3)), 3)
+
 
 class TestExpectedCounts:
     def test_single_pattern_scales_posterior(self):

@@ -274,7 +274,7 @@ class TestReplicateStudy:
         assert all(len(w) == 1 and min(w) > 0 for w in walls.values())
 
     def test_multi_block_rows_independent_of_worker_count(self, monkeypatch):
-        """Pool workers run their E-step blocks inline, the parent on its threads."""
+        """A pool study's processes run their E-step blocks inline, a serial one on its threads."""
         from emirt import expectation
 
         monkeypatch.setattr(expectation, "BLOCK_ROWS", 64)
@@ -326,13 +326,17 @@ class TestReplicateStudy:
     )
     @pytest.mark.parametrize(
         "failing_run, raised",
-        [(1, ZeroDivisionError), (1, RuntimeError), (0, KeyboardInterrupt)],
+        [(1, ZeroDivisionError), (2, RuntimeError), (0, KeyboardInterrupt)],
         ids=["child-raises", "child-exits-without-sending", "caller-interrupted"],
     )
     def test_a_failed_run_fails_the_study_and_leaves_no_process(
         self, monkeypatch, failing_run, raised
     ):
-        """The study raises, and the children still fitting are terminated and joined."""
+        """The study raises, and the children still fitting are terminated and joined.
+
+        Runs before the failing one fit; runs after it are still running when
+        it fails.
+        """
         from emirt import expectation, simgen
 
         run_replication = simgen._run_replication
@@ -342,7 +346,7 @@ class TestReplicateStudy:
                 if raised is RuntimeError:
                     os._exit(3)
                 raise raised("the failing run")
-            if run[3] > 0:
+            if run[3] > failing_run:
                 time.sleep(60)
             return run_replication(run)
 
@@ -353,7 +357,7 @@ class TestReplicateStudy:
             replicate_study(small_design(reps=3), workers=3)
         assert time.perf_counter() - start < 30  # the sleeping child did not run out its time
         if raised is RuntimeError:
-            assert "replications 1-1" in str(error.value)
+            assert "replications 2-2" in str(error.value)
         assert multiprocessing.active_children() == []
         assert expectation._helpers == 3
 

@@ -95,12 +95,10 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _parse_int_list(text: str) -> list[int]:
     values = _parse_float_list(text)
-    out = []
     for v in values:
-        if v != int(v):
+        if not v.is_integer():  # nor is inf or nan
             raise ValueError(f"expected integers, got {v}")
-        out.append(int(v))
-    return out
+    return [int(v) for v in values]
 
 
 def _estimator_list(flag: str) -> tuple[str, ...]:
@@ -319,8 +317,7 @@ def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
         seed=args.seed,
     )
     estimators = _estimator_list(args.estimator)
-    workers = simgen.resolve_workers(args.workers)
-    summary = simgen.replicate_study(design, estimators=estimators, workers=workers)
+    summary = simgen.replicate_study(design, estimators=estimators, workers=args.workers)
 
     config = {
         "model": args.model,
@@ -331,7 +328,7 @@ def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
         "seed": args.seed,
         "true_a": [p.a for p in truth],
         "true_b": [p.b for p in truth],
-        "workers": workers,
+        "workers": args.workers,
         "out": str(args.out),
     }
     manifest = RunManifest(
@@ -386,10 +383,10 @@ def _add_study_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--true-a", default=None, help="comma-separated discriminations")
     sub.add_argument("--true-b", default=None, help="comma-separated difficulties")
-    sub.add_argument("--workers", type=int, default=None,
+    sub.add_argument("--workers", type=int, default=1,
                      help="processes fitting the study, each one contiguous run "
                      "of replications: this process and N-1 started ones (at most "
-                     "one per replication; overrides IRT_THREADS; default 1)")
+                     "one per replication; N >= 1; default 1)")
     sub.add_argument("--out", required=True, help="output stem; writes .csv and .json")
 
 

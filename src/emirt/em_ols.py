@@ -206,22 +206,18 @@ def _run_em(
     Fits each of the R tables in datas under cfg, every fit from a = 1,
     b = 0.  The fits' parameters are (R, J) float64 arrays a and b, and the
     M-step, the probability matrices and the phi residuals each run once
-    per iteration on the stacked (R, J, T) arrays.  The E-step is one
-    posterior call per iteration on each PatternStack of the live fits:
-    the fits are ordered by table length, PatternStack.split puts
-    neighbouring fits into stacks of at most BLOCK_ROWS zero-padded rows,
-    once, and the stacks are compacted as fits leave.  So all fits of
-    small tables share one call, a larger table has a call of its own,
-    and one stack's posterior is held at a time.  A stack's log-sum-exp
-    and exp run once over it, and its pattern products once per run of
-    tables of one length, over their own rows.  Every reduction over
-    patterns stays per fit, on that fit's own rows: its log-likelihood,
-    its PosteriorUnderflowError, and one expected_counts call on its
-    slice of the posterior.  A zero-padded stacked N_t product moved fits
-    by up to 6.0e-4 at T = 15.  A stacked numpy operation computes each
-    fit's slice as a one-fit call does, so every fit is bit-identical to
-    a fit run alone.  An error of a stacked call itself is the outcome of
-    each of its fits.
+    per iteration on the stacked (R, J, T) arrays.  The fits are ordered by
+    table length, and PatternStack.split puts neighbouring fits whose
+    tables have one length into stacks of at most BLOCK_ROWS rows, once;
+    the stacks are compacted as fits leave.  So all fits of small, equally
+    long tables share one stack, a larger table is a stack of its own, and
+    one stack's posterior is held at a time.  The E-step of an iteration
+    is one posterior call and one expected_counts call per stack: they
+    give every fit of it its log-likelihood, or its
+    PosteriorUnderflowError, and its counts.  A stacked numpy operation
+    computes each fit's slice over that fit's own rows, as a one-fit call
+    does, so every fit is bit-identical to a fit run alone.  An error of a
+    stacked call itself is the outcome of each of its fits.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
     degenerate) over the stacked arrays, the last marking items to flag
@@ -273,11 +269,13 @@ def _run_em(
             start, end = end, end + len(stack.tables)
             try:
                 post, logliks = expectation.posterior(stack, prob[start:end], grid)
+                stack_counts = expectation.expected_counts(stack, post)
             except Exception as exc:  # an error of a stacked call is the outcome of its fits
                 for i in range(start, end):
                     outcomes[live[i]] = exc
                     gone.append(i)
                 continue
+            counts.n1[start:end], counts.nt[start:end] = stack_counts.n1, stack_counts.nt
             for i, ll in enumerate(logliks, start):
                 r = live[i]
                 fit = fits[r]
@@ -301,13 +299,10 @@ def _run_em(
                     fit.iterations = iteration
                     fit.converged = converged[i]
                     gone.append(i)
-                    continue
-                fit_post = post[i - start, : datas[r].n_patterns]
-                fit_counts = expectation.expected_counts(datas[r], fit_post)
-                if callback is not None:
-                    callback(iteration + 1, _item_params(a[i], b[i]), fit_post, fit_counts)
-                del fit_post  # a view: it would keep post alive
-                counts.n1[i], counts.nt[i] = fit_counts.n1, fit_counts.nt
+                elif callback is not None:
+                    k = i - start
+                    callback(iteration + 1, _item_params(a[i], b[i]), post[k],
+                             ExpectedCounts(n1=stack_counts.n1[k], nt=stack_counts.nt[k]))
             del post  # one stack's posterior at a time
         if len(gone) == len(live):
             break

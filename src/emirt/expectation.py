@@ -6,7 +6,6 @@ never produce infinities.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -14,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import copy_context
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,11 +44,10 @@ class ExpectedCounts:
     n1 : (..., J, T) expected number of correct responses
     nt : (..., T)    expected number of persons at each node
 
-    expected_counts gives one fit's (J, T) and (T,) arrays, summed over that
-    fit's own patterns only; the lockstep EM loop stacks R fits' counts
-    along a leading replication axis.  The posteriors they come from are
-    stacked, but the counts are not: a zero-padded (P_max,) @
-    (P_max, T) product for nt moved fits by up to 6.0e-4 at T = 15.
+    expected_counts gives one table's (J, T) and (T,) arrays, or, for a
+    PatternStack of R equally long tables, (R, J, T) and (R, T) arrays
+    whose slices are each table's own; the lockstep EM loop gathers the
+    stacks' counts along a leading replication axis.
     """
 
     n1: np.ndarray
@@ -174,68 +171,55 @@ def _map_blocks(block, n_rows: int, *args) -> Sequence:
 
 @dataclass(frozen=True)
 class PatternStack:
-    """The pattern tables of R fits, stacked for one E-step call.
+    """The equally long pattern tables of R fits, stacked for one E-step call.
 
-    tables   : the R tables, in fit order
-    patterns : (R, P_max, I) array; slice r holds the P_r rows of tables[r],
-               then zero rows up to P_max, the longest table's row count
-    runs     : (fits, n) for each run of neighbouring tables of n rows
+    tables      : the R tables, in fit order, of P rows each
+    patterns    : (R, P, I) array; slice r is tables[r]'s patterns
+    float_freqs : (R, P) float64 array; row r is tables[r]'s frequencies
 
-    n_patterns and n_items read as a table's do.  A one-table stack is a
-    view of its table's own array.  tables is a list: a study sweep peaked
-    0.8 MB higher when select built a tuple from a generator instead.
+    n_patterns, n_items and float_freqs read as a table's do, so
+    expected_counts takes either.  A one-table stack is a view of its
+    table's own arrays.  tables is a list: a study sweep peaked 0.8 MB
+    higher when select built a tuple from a generator instead.
     """
 
     tables: list[PatternData]
     patterns: np.ndarray
+    float_freqs: np.ndarray
 
     @classmethod
     def of(cls, tables: Sequence[PatternData]) -> PatternStack:
-        """The stack of tables, which have the same items."""
+        """The stack of tables, which have the same items and the same number of rows."""
         tables = list(tables)
         if len(tables) == 1:
-            return cls(tables, tables[0].patterns[None])
-        patterns = np.zeros(
-            (len(tables), max(data.n_patterns for data in tables), tables[0].n_items),
-            dtype=np.result_type(*(data.patterns for data in tables)),
+            return cls(tables, tables[0].patterns[None], tables[0].float_freqs[None])
+        return cls(
+            tables,
+            np.stack([data.patterns for data in tables]),
+            np.stack([data.float_freqs for data in tables]),
         )
-        for rows, data in zip(patterns, tables):
-            rows[: data.n_patterns] = data.patterns
-        return cls(tables, patterns)
 
     @classmethod
     def split(cls, tables: Sequence[PatternData]) -> list[PatternStack]:
         """The stacks of consecutive groups of tables, in order.
 
-        A group grows while its R tables, padded to its longest table's
-        P_max rows, fill R * P_max <= BLOCK_ROWS; a longer table is a group
-        of its own.  So the E-step's memory is that of a one-table fit, at
-        any number of fits.
+        A group holds neighbouring tables of one length P, as many as fill
+        R * P <= BLOCK_ROWS; a longer table is a group of its own.  So the
+        E-step's memory is that of a one-table fit, at any number of fits,
+        and every stacked product or sum runs over its fits' own rows.
         """
-        groups, group, longest = [], [], 0
+        groups: list[list[PatternData]] = []
         for data in tables:
-            if group and (len(group) + 1) * max(longest, data.n_patterns) > BLOCK_ROWS:
-                groups.append(group)
-                group, longest = [], 0
-            group.append(data)
-            longest = max(longest, data.n_patterns)
-        return [cls.of(group) for group in groups + [group] if group]
-
-    @cached_property
-    def runs(self) -> list[tuple[slice, int]]:
-        """(fits, n) for each run of neighbouring tables of n rows, in order.
-
-        Built once per stack: grouping in each E-step call cost about 10 us.
-        """
-        runs, end = [], 0
-        for n, tables in itertools.groupby(data.n_patterns for data in self.tables):
-            start, end = end, end + len(list(tables))
-            runs.append((slice(start, end), n))
-        return runs
+            n = data.n_patterns
+            if groups and groups[-1][0].n_patterns == n and (len(groups[-1]) + 1) * n <= BLOCK_ROWS:
+                groups[-1].append(data)
+            else:
+                groups.append([data])
+        return [cls.of(group) for group in groups]
 
     @property
     def n_patterns(self) -> int:
-        """P_max, the rows of each table's slice."""
+        """P, the rows of each table."""
         return self.patterns.shape[1]
 
     @property
@@ -243,37 +227,24 @@ class PatternStack:
         return self.patterns.shape[2]
 
     def select(self, keep: np.ndarray) -> PatternStack:
-        """The stack of the tables where keep is true, padded to the longest of them."""
+        """The stack of the tables where keep is true."""
         if keep.all():
             return self
         tables = [data for data, k in zip(self.tables, keep.tolist()) if k]
-        return PatternStack(tables, self.patterns[keep, : max(data.n_patterns for data in tables)])
+        return PatternStack(tables, self.patterns[keep], self.float_freqs[keep])
 
 
-def _normalise_block(rows, patterns, runs, log_p, log_q, log_w, norm, post) -> None:
+def _normalise_block(rows, patterns, log_p, log_q, log_w, norm, post) -> None:
     """Write one row block's log normalisers into norm and, given post, its posterior.
 
     patterns is an (R, P, I) stack, log_p and log_q its (R, I, T) logs and
     norm (R, P, 1); the block is the same rows of every slice, and all of
-    its work is row-local.  runs are (fits, n) pairs: the slice of
-    neighbouring fits whose tables have n rows.  Their pattern products
-    are one call over their own rows of the block only, and padding rows
-    get a zero log joint: OpenBLAS can round a row of a product
-    differently with the number of rows in the call (at 20 items and
-    T = 10), so a product over zero-padded rows would not be the table's
-    own.
+    its work is row-local.  A stacked matmul makes one product per slice,
+    over that table's rows of the block, as a one-table call does.
     """
     x_b = patterns[:, rows].astype(np.float64)
-    if len(runs) == 1:  # equally long tables, as one table is: no padding rows
-        log_joint = x_b @ log_p
-        log_joint += (1.0 - x_b) @ log_q
-    else:
-        log_joint = np.zeros((*x_b.shape[:2], log_w.size))
-        for fits, n in runs:
-            x = x_b[fits, : max(n - rows.start, 0)]
-            product = x @ log_p[fits]
-            product += (1.0 - x) @ log_q[fits]
-            log_joint[fits, : x.shape[1]] = product
+    log_joint = x_b @ log_p
+    log_joint += (1.0 - x_b) @ log_q
     log_joint += log_w
     peak = np.maximum.reduce(log_joint, axis=-1, keepdims=True)
     norm_b = norm[:, rows]
@@ -287,12 +258,12 @@ def _normalise_block(rows, patterns, runs, log_p, log_q, log_w, norm, post) -> N
 def _log_normalisers(
     stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid, post: np.ndarray | None = None
 ) -> np.ndarray:
-    """log sum_t P(X|theta_t) A_t for every row X of the stack, shape (R, P_max, 1).
+    """log sum_t P(X|theta_t) A_t for every row X of the stack, shape (R, P, 1).
 
     prob is the (R, J, T) stack of the tables' probability matrices.  Works
     over row blocks of the stack: each block's log joint
     log P(X|theta_t) + log A_t is reduced with log-sum-exp, and, when an
-    (R, P_max, T) post is given, normalised into its rows of post.
+    (R, P, T) post is given, normalised into its rows of post.
     """
     n_fits, n_rows, n_items = stack.patterns.shape
     if prob.shape[1] != n_items:
@@ -300,23 +271,9 @@ def _log_normalisers(
     norm = np.empty((n_fits, n_rows, 1))
     _map_blocks(
         _normalise_block, n_rows,
-        stack.patterns, stack.runs, np.log(prob), np.log1p(-prob), grid.log_weights, norm, post,
+        stack.patterns, np.log(prob), np.log1p(-prob), grid.log_weights, norm, post,
     )
     return norm
-
-
-def _loglik(data: PatternData, norm: np.ndarray) -> float | PosteriorUnderflowError:
-    """data's observed log-likelihood from the (P_max, 1) normalisers of its slice.
-
-    Sums over data's own rows only.  Or, when a pattern's likelihood
-    underflowed, the error naming it.
-    """
-    norm = norm[: data.n_patterns, 0]
-    loglik = float(data.float_freqs @ norm)
-    # norms of clamped probabilities are far from overflow: the sum is finite iff all are
-    if math.isfinite(loglik):
-        return loglik
-    return PosteriorUnderflowError(int(np.argmin(np.isfinite(norm))))
 
 
 def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
@@ -330,24 +287,25 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     bit-identical to observed_loglik at the same parameters.  Raises
     PosteriorUnderflowError when a pattern's likelihood underflows.
 
-    For a PatternStack of R fits, prob is the (R, J, T) stack of their
-    matrices.  The log-sum-exp and exp run once over the stacked row
-    blocks, and the pattern products once per run of tables of one length,
-    over their own rows; PatternStack.split bounds a stack's size.
-    Returns (post, logliks): post is
-    (R, P_max, T), valid in the first P_r rows of slice r, and logliks[r]
-    is fit r's log-likelihood or its PosteriorUnderflowError.  Each
-    log-likelihood sums over its own fit's rows only, so every fit gets
-    the values of a call on its table alone, bit for bit.  No reduction
-    over patterns is stacked: a sum over zero-padded rows rounds
-    differently, as a stacked N_t did (by up to 6.0e-4 at T = 15).
+    For a PatternStack of R equally long tables, prob is the (R, J, T)
+    stack of their matrices.  Returns (post, logliks): post is (R, P, T),
+    and logliks[r] is fit r's log-likelihood or its
+    PosteriorUnderflowError.  Every step, the log-likelihoods' one stacked
+    (R, 1, P) @ (R, P, 1) product included, makes one call per slice over
+    that table's own rows, so every fit gets the values of a call on its
+    table alone, bit for bit.
     """
     stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
     prob = prob if stack is data else prob[None]
     post = np.empty((*stack.patterns.shape[:2], grid.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = _log_normalisers(stack, prob, grid, post)
-        logliks = list(map(_loglik, stack.tables, norm))
+        sums = (stack.float_freqs[:, None, :] @ norm)[:, 0, 0].tolist()
+    # norms of clamped probabilities are far from overflow: a sum is finite iff all its terms are
+    logliks = [
+        loglik if math.isfinite(loglik) else PosteriorUnderflowError(int(np.argmin(np.isfinite(n))))
+        for loglik, n in zip(sums, norm[..., 0])
+    ]
     if stack is data:
         return post, logliks
     (loglik,) = logliks
@@ -357,16 +315,19 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
 
 
 def _count_block(rows, patterns, freqs, post) -> tuple[np.ndarray, np.ndarray]:
-    """One row block's (N_t, N1_jt) partial counts."""
-    f_b, post_b = freqs[rows], post[rows]
-    return f_b @ post_b, (patterns[rows].T * f_b) @ post_b
+    """One row block's (N_t, N1_jt) partial counts, of a table or of each table of a stack."""
+    f_b, post_b = freqs[..., None, rows], post[..., rows, :]
+    return (f_b @ post_b)[..., 0, :], (np.swapaxes(patterns[..., rows, :], -1, -2) * f_b) @ post_b
 
 
-def expected_counts(data: PatternData, post: np.ndarray) -> ExpectedCounts:
+def expected_counts(data: PatternData | PatternStack, post: np.ndarray) -> ExpectedCounts:
     """Expected per-node counts N1_jt and N_t from a posterior table.
 
-    The first row block of the pattern table gives the counts, and each
-    further block adds its own, in block order.
+    A table and its (P, T) posterior give (J, T) and (T,) counts.  A
+    PatternStack of R tables and its (R, P, T) posterior give (R, J, T)
+    and (R, T), each fit's slice that of a call on its table alone, bit
+    for bit.  The first row block gives the counts, and each further block
+    adds its own, in block order.
     """
     parts = _map_blocks(_count_block, data.n_patterns, data.patterns, data.float_freqs, post)
     nt, n1 = parts[0]

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -143,27 +142,6 @@ def is_outlier(p: ItemParams, model: ModelKind, degenerate: bool = False) -> boo
     """Whether either parameter of an estimate is an outlier."""
     out_a, out_b = outlier_verdicts(p.a, p.b, model, degenerate)
     return bool(out_a | out_b)
-
-
-def resolve_workers(flag: int | None = None) -> int:
-    """Worker count: explicit flag wins, then IRT_THREADS, then 1.
-
-    A count below 1, or an IRT_THREADS that is not an integer, raises
-    ValueError naming where the value came from.
-    """
-    if flag is not None:
-        source, value = "--workers", flag
-    else:
-        source, value = "IRT_THREADS", os.environ.get("IRT_THREADS")
-        if not value:
-            return 1
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ValueError(f"{source} must be an integer, got {value!r}") from None
-    if workers < 1:
-        raise ValueError(f"{source} must be >= 1, got {workers}")
-    return workers
 
 
 def fit_estimator(data, estimator: str, cfg: FitConfig):
@@ -349,7 +327,7 @@ def _aggregate(
 def replicate_study(
     design: StudyDesign,
     estimators: Sequence[str] = ("ols",),
-    workers: int | None = None,
+    workers: int = 1,
 ) -> StudySummary:
     """Generate, fit, and aggregate design.reps replications.
 
@@ -361,16 +339,19 @@ def replicate_study(
     split into min(workers, reps) contiguous runs, and that many processes
     fit one run each, cell by cell: the calling process fits the first run
     and starts one process for each further run.  Every such process has
-    ended when this returns or raises.
+    ended when this returns or raises.  A worker count below 1 raises
+    ValueError.
     """
     estimators = tuple(estimators)
     for est in estimators:
         if est not in ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}; expected one of {ESTIMATORS}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     seeds = np.random.SeedSequence(design.seed).spawn(design.reps)
 
-    n_runs = min(resolve_workers(workers), design.reps)
+    n_runs = min(workers, design.reps)
     if n_runs == 1:
         records = _run_cells(design, estimators, seeds)
     else:
@@ -386,7 +367,7 @@ def quad_study(
     design: StudyDesign,
     estimators: Sequence[str] = ("ols",),
     t_sweep: Sequence[int] = DEFAULT_QUAD_SWEEP,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> StudySummary:
     """Replication study swept over a list of quadrature point counts."""
     swept = replace(design, t_list=tuple(t_sweep))

@@ -239,6 +239,16 @@ class TestQuadstudy:
         assert "quadrature point count" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("quads", ["inf", "1e400", "4,-inf", "nan", "4,2.5"])
+    def test_non_integer_nodes_exit_one_without_output(self, tmp_path, capsys, quads):
+        code = main(
+            ["quadstudy", "--model", "2pl", "--quads", quads, "--reps", "1",
+             "--out", str(tmp_path / "out" / "s")]
+        )
+        assert code == 1
+        assert "error: expected integers, got" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_single_t_matches_simulate(self, tmp_path):
         common = ["--model", "1pl", "--reps", "2", "--n-persons", "300", "--seed", "9"]
         main(["simulate", *common, "--n-quads", "2", "--out", str(tmp_path / "sim")])

@@ -9,6 +9,7 @@ from emirt.em_ols import FitConfig, FitResult
 from emirt.expectation import PosteriorUnderflowError
 from emirt.model import ItemParams, ModelKind
 from emirt.patterns import PatternData, tabulate
+from emirt.quadrature import normal_grid
 from emirt.simgen import DEFAULT_TRUE_A, DEFAULT_TRUE_B, generate
 
 # estimator -> (one fit, lockstep fits)
@@ -99,10 +100,12 @@ def test_raising_and_capped_fits_leave_the_others_unaffected(estimator):
 @pytest.mark.parametrize("model", [ModelKind.ONE_PL, ModelKind.TWO_PL], ids=["1pl", "2pl"])
 @pytest.mark.parametrize("estimator", sorted(ENGINES))
 def test_tables_of_very_different_lengths(estimator, model, block_rows, monkeypatch):
-    """3 persons beside 5000: most of a short table's stacked rows are padding.
+    """3 persons beside 5000, and a NaN copy of a 5000-person table.
 
-    At 7 rows per block every long table spans several blocks, and the
-    table with a NaN in pattern 17 fails in its third block.
+    The copy is as long as its table, so they share a stack at 2048 rows
+    per block.  At 7 rows per block every long table is a stack of its own
+    and spans several blocks, and the copy, with its NaN in pattern 17,
+    fails in its third block.
     """
     monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
     fit_fn, lockstep = ENGINES[estimator]
@@ -122,8 +125,8 @@ def test_twenty_item_tables_of_different_lengths(estimator):
     """A BLAS product can round a row differently with the rows in the call.
 
     OpenBLAS does so for 20 items at T = 10 (for 2, 3, 7, 10, ... rows
-    against 2048), so a fit's pattern products must cover its own rows,
-    never its stack's zero-padded P_max.
+    against 2048), so a fit's pattern products must cover its own rows
+    only, as they do in a stack of tables of one length.
     """
     fit_fn, lockstep = ENGINES[estimator]
     rng = np.random.default_rng(5)
@@ -137,29 +140,46 @@ def test_twenty_item_tables_of_different_lengths(estimator):
 
 @pytest.mark.parametrize("estimator", sorted(ENGINES))
 def test_one_stacked_estep_per_iteration(tables, estimator, monkeypatch):
-    """The number of E-step calls is the longest fit's, whatever the number of fits."""
+    """One posterior and one expected_counts call per equal-length stack of live fits.
+
+    Identical tables share one stack, so they make one call per iteration
+    whatever their number; the fixture's tables of 22, 23 and 25 patterns
+    make one call per length still live.
+    """
     _, lockstep = ENGINES[estimator]
-    original = expectation.posterior
-    live_per_call = []
+    calls = []
+    for name in ("posterior", "expected_counts"):
+        def counted(stack, *args, name=name, original=getattr(expectation, name)):
+            calls.append((name, stack))
+            return original(stack, *args)
 
-    def counted(stack, prob, grid):
-        assert stack.n_patterns == max(data.n_patterns for data in stack.tables)
-        assert stack.n_items == len(TRUTH[ModelKind.TWO_PL])
-        live_per_call.append(len(stack.tables))
-        return original(stack, prob, grid)
-
-    monkeypatch.setattr(expectation, "posterior", counted)
+        monkeypatch.setattr(expectation, name, counted)
     cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=4, max_iter=100)
     one = tables[ModelKind.TWO_PL][0]
     for n_fits in (1, 3, 5):
-        live_per_call.clear()
+        calls.clear()
         (outcome, *_) = lockstep([one] * n_fits, cfg)
-        assert live_per_call == [n_fits] * (outcome.iterations + 1)
+        per_iteration = [("posterior", n_fits), ("expected_counts", n_fits)]
+        assert [(name, len(stack.tables)) for name, stack in calls] == per_iteration * (
+            outcome.iterations + 1
+        )
 
-        live_per_call.clear()
-        outcomes = lockstep(tables[ModelKind.TWO_PL][:n_fits], cfg)
-        assert len(live_per_call) == 1 + max(o.iterations for o in outcomes)
-        assert live_per_call[0] == n_fits and live_per_call == sorted(live_per_call, reverse=True)
+        calls.clear()
+        batch = tables[ModelKind.TWO_PL][:n_fits]
+        outcomes = lockstep(batch, cfg)
+        stacks = [stack for name, stack in calls if name == "posterior"]
+        assert [stack for name, stack in calls if name == "expected_counts"] == stacks
+        assert [name for name, _ in calls] == ["posterior", "expected_counts"] * len(stacks)
+        for stack in stacks:
+            assert {data.n_patterns for data in stack.tables} == {stack.n_patterns}
+        live_lengths = [
+            {data.n_patterns for data, o in zip(batch, outcomes) if o.iterations >= k}
+            for k in range(1 + max(o.iterations for o in outcomes))
+        ]
+        assert len(stacks) == sum(map(len, live_lengths))
+        assert [stack.n_patterns for stack in stacks[: len(live_lengths[0])]] == sorted(
+            live_lengths[0]
+        )
 
 
 @pytest.mark.parametrize("estimator", sorted(ENGINES))
@@ -193,22 +213,70 @@ def test_stacks_hold_at_most_block_rows(estimator, monkeypatch):
 
 
 def test_split_stacks_consecutive_tables_within_block_rows(monkeypatch):
-    """At 5 rows per block: 2 + 1, then 2 + 2 (3 * 2 > 5), then 1, then 7 alone."""
+    """At 5 rows per block a stack holds neighbouring tables of one length only.
+
+    Five 1-row tables fill a stack and the sixth starts another; 2 + 2
+    rows fit, a third 2-row table (3 * 2 > 5) does not; the 1-row table
+    after it differs in length, and 7 rows stand alone.
+    """
     monkeypatch.setattr(expectation, "BLOCK_ROWS", 5)
     full = tabulate(generate(TRUTH[ModelKind.ONE_PL], 300, 0))
-    batch = [PatternData(full.patterns[:n], full.freqs[:n]) for n in (2, 1, 2, 2, 1, 7)]
+    lengths = (1, 1, 1, 1, 1, 1, 2, 2, 2, 1, 7)
+    batch = [PatternData(full.patterns[-n:], full.freqs[-n:] + k) for k, n in enumerate(lengths)]
     stacks = expectation.PatternStack.split(batch)
-    assert [len(stack.tables) for stack in stacks] == [2, 2, 1, 1]
-    assert [stack.n_patterns for stack in stacks] == [2, 2, 1, 7]
+    assert [len(stack.tables) for stack in stacks] == [5, 1, 2, 1, 1, 1]
+    assert [stack.n_patterns for stack in stacks] == [1, 1, 2, 2, 1, 7]
     assert [data for stack in stacks for data in stack.tables] == batch
     for stack in stacks:
-        for rows, data in zip(stack.patterns, stack.tables):
-            assert np.array_equal(rows[: data.n_patterns], data.patterns)
-            assert not rows[data.n_patterns:].any()
-    assert stacks[0].runs == [(slice(0, 1), 2), (slice(1, 2), 1)]
-    assert stacks[1].runs == [(slice(0, 2), 2)]
-    assert np.shares_memory(stacks[3].patterns, batch[5].patterns)  # one table: a view
+        n_fits, n = len(stack.tables), stack.n_patterns
+        assert stack.patterns.shape == (n_fits, n, stack.n_items)
+        assert stack.float_freqs.shape == (n_fits, n)
+        for rows, freqs, data in zip(stack.patterns, stack.float_freqs, stack.tables):
+            assert np.array_equal(rows, data.patterns)
+            assert np.array_equal(freqs, data.float_freqs)
+    assert np.shares_memory(stacks[-1].patterns, batch[-1].patterns)  # one table: a view
     assert expectation.PatternStack.split([]) == []
+
+
+@pytest.mark.parametrize("n_quads", [4, 10, 21])
+@pytest.mark.parametrize("n_items", [5, 20, 30])
+def test_stacked_counts_and_logliks_are_each_tables_own(n_items, n_quads):
+    """A stack gives every table the counts and log-likelihood of a call on it alone.
+
+    Four equally long tables, each at its own parameters; the third has a
+    NaN response in pattern 6, so its likelihood underflows.  It gets its
+    own PosteriorUnderflowError, and the other tables' posteriors, counts
+    and log-likelihoods equal expected_counts and observed_loglik on each
+    table alone, bit for bit, as they do in a stack without it.
+    """
+    rng = np.random.default_rng(n_items * 100 + n_quads)
+    truth = [ItemParams(a=a, b=b)
+             for a, b in zip(rng.uniform(0.7, 1.6, n_items), rng.uniform(-1.5, 1.5, n_items))]
+    batch = [tabulate(generate(truth, 400, seed)) for seed in range(4)]
+    n = min(data.n_patterns for data in batch)
+    batch = [PatternData(data.patterns[:n], data.freqs[:n]) for data in batch]
+    batch[2] = nan_pattern_table(batch[2], index=6)
+    grid = normal_grid(n_quads)
+    a, b = rng.uniform(0.5, 2.0, (4, n_items)), rng.uniform(-2.0, 2.0, (4, n_items))
+    prob = expectation.response_prob_matrix(a, b, grid)
+
+    def stacked(fits):
+        stack = expectation.PatternStack.of([batch[r] for r in fits])
+        post, logliks = expectation.posterior(stack, prob[fits], grid)
+        counts = expectation.expected_counts(stack, post)
+        return {r: (logliks[k], [post[k], counts.n1[k], counts.nt[k]]) for k, r in enumerate(fits)}
+
+    together, without = stacked([0, 1, 2, 3]), stacked([0, 1, 3])
+    error = together[2][0]
+    assert isinstance(error, PosteriorUnderflowError) and error.pattern_index == 6
+    for r in (0, 1, 3):
+        post, loglik = expectation.posterior(batch[r], prob[r], grid)
+        counts = expectation.expected_counts(batch[r], post)
+        assert loglik == expectation.observed_loglik(batch[r], prob[r], grid)
+        for got_loglik, got_arrays in (together[r], without[r]):
+            assert got_loglik == loglik
+            for got, want in zip(got_arrays, [post, counts.n1, counts.nt]):
+                assert np.array_equal(got, want)
 
 
 def test_one_table_lockstep_is_the_fit():

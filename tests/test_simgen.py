@@ -23,7 +23,6 @@ from emirt.simgen import (
     outlier_verdicts,
     quad_study,
     replicate_study,
-    resolve_workers,
 )
 
 
@@ -114,46 +113,32 @@ class TestFitEstimator:
 
 
 class TestResolveWorkers:
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("IRT_THREADS", "8")
-        assert resolve_workers(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("IRT_THREADS", "5")
-        assert resolve_workers(None) == 5
+    """The worker count is --workers, 1 by default, and replicate_study checks it."""
 
     def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("IRT_THREADS", raising=False)
-        assert resolve_workers(None) == 1
+        from emirt import simgen
+        from emirt.cli import build_parser
+
+        def no_processes(runs):
+            raise AssertionError("a serial study starts no process")
+
+        monkeypatch.setattr(simgen, "_fit_runs", no_processes)
+        assert replicate_study(small_design()).rows
+        assert build_parser().parse_args(["simulate", "--model", "1pl", "--out", "s"]).workers == 1
 
     @pytest.mark.parametrize("flag", [0, -3])
-    def test_flag_below_one_rejected(self, monkeypatch, flag):
-        monkeypatch.setenv("IRT_THREADS", "4")
-        with pytest.raises(ValueError, match=f"--workers must be >= 1, got {flag}"):
-            resolve_workers(flag)
+    def test_flag_below_one_rejected(self, flag):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {flag}"):
+            replicate_study(small_design(), workers=flag)
 
-    def test_env_below_one_rejected(self, monkeypatch):
-        monkeypatch.setenv("IRT_THREADS", "0")
-        with pytest.raises(ValueError, match="IRT_THREADS must be >= 1, got 0"):
-            resolve_workers(None)
-
-    def test_env_not_an_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv("IRT_THREADS", "two")
-        with pytest.raises(ValueError, match="IRT_THREADS must be an integer, got 'two'"):
-            resolve_workers(None)
-
-    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0"), (None, "1.5")])
-    def test_cli_exits_one_without_output(self, tmp_path, monkeypatch, capsys, flag, env):
+    @pytest.mark.parametrize("flag", ["0", "-3"])
+    def test_cli_exits_one_without_output(self, tmp_path, capsys, flag):
         from emirt.cli import main
 
-        if env is None:
-            monkeypatch.delenv("IRT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("IRT_THREADS", env)
         argv = ["simulate", "--model", "1pl", "--reps", "2", "--out", str(tmp_path / "out" / "s")]
-        code = main(argv + (["--workers", flag] if flag else []))
+        code = main(argv + ["--workers", flag])
         assert code == 1
-        assert ("--workers" if flag else "IRT_THREADS") in capsys.readouterr().err
+        assert f"error: workers must be >= 1, got {flag}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

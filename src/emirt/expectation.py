@@ -303,8 +303,8 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
         sums = (stack.float_freqs[:, None, :] @ norm)[:, 0, 0].tolist()
     # norms of clamped probabilities are far from overflow: a sum is finite iff all its terms are
     logliks = [
-        loglik if math.isfinite(loglik) else PosteriorUnderflowError(int(np.argmin(np.isfinite(n))))
-        for loglik, n in zip(sums, norm[..., 0])
+        s if math.isfinite(s) else PosteriorUnderflowError(int(np.argmin(np.isfinite(norm[r]))))
+        for r, s in enumerate(sums)
     ]
     if stack is data:
         return post, logliks
@@ -317,7 +317,7 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
 def _count_block(rows, patterns, freqs, post) -> tuple[np.ndarray, np.ndarray]:
     """One row block's (N_t, N1_jt) partial counts, of a table or of each table of a stack."""
     f_b, post_b = freqs[..., None, rows], post[..., rows, :]
-    return (f_b @ post_b)[..., 0, :], (np.swapaxes(patterns[..., rows, :], -1, -2) * f_b) @ post_b
+    return (f_b @ post_b)[..., 0, :], (patterns[..., rows, :].swapaxes(-1, -2) * f_b) @ post_b
 
 
 def expected_counts(data: PatternData | PatternStack, post: np.ndarray) -> ExpectedCounts:

@@ -3,12 +3,11 @@
 Exit codes: 0 success, 1 input error, 2 non-convergence (results are
 still written).
 
-Study CSV schema (one row per item x estimator x quadrature count):
-    item, estimator, n_quads, true_a, true_b, mean_a, mean_b,
-    rmse_a, rmse_b, outliers, reps
-The first line is a comment referencing the JSON file that carries the
-run manifest.  Timing and filtered statistics live in the JSON only, so
-the CSV is byte-identical across runs with the same flags and seed.
+The study CSV has one row per item x estimator x quadrature count, in the
+columns of STUDY_CSV_COLUMNS.  The first line is a comment referencing the
+JSON file that carries the run manifest.  Timing and filtered statistics
+live in the JSON only, so the CSV is byte-identical across runs with the
+same flags and seed.
 """
 from __future__ import annotations
 
@@ -102,7 +101,27 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _estimator_list(flag: str) -> tuple[str, ...]:
-    return ("ols", "nr") if flag == "both" else (flag,)
+    return simgen.ESTIMATORS if flag == "both" else (flag,)
+
+
+def _csv_cell(value):
+    """A CSV cell by type: floats by _fmt, flag lists joined by ';', booleans as 0/1."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, list):
+        return ";".join(value)
+    return value
+
+
+def _write_csv(path: Path, manifest_name: str, columns: tuple[str, ...], rows) -> None:
+    """Write the manifest comment, the header and each row mapping's cells, in columns order."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# manifest: {manifest_name}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(row[c]) for c in columns] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -137,30 +156,6 @@ def _fit_block(result: FitResult, model: ModelKind, estimator: str) -> dict:
             "phi_max": result.phi_max_trace,
         },
     }
-
-
-def _write_fit_csv(path: Path, blocks: list[dict], manifest_name: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {manifest_name}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FIT_CSV_COLUMNS)
-        for block in blocks:
-            for item in block["items"]:
-                writer.writerow(
-                    [
-                        item["index"],
-                        block["estimator"],
-                        _fmt(item["a"]),
-                        _fmt(item["b"]),
-                        _fmt(item["tau"]),
-                        int(item["outlier"]),
-                        ";".join(item["flags"]),
-                        int(block["converged"]),
-                        block["iterations"],
-                        _fmt(block["loglik"]),
-                        _fmt(block["phi_max"]),
-                    ]
-                )
 
 
 def cmd_fit(args) -> int:
@@ -226,7 +221,8 @@ def cmd_fit(args) -> int:
         manifest_path.write_text(
             json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8"
         )
-        _write_fit_csv(out_path, blocks, manifest_path.name)
+        rows = [{"item": i["index"], **block, **i} for block in blocks for i in block["items"]]
+        _write_csv(out_path, manifest_path.name, FIT_CSV_COLUMNS, rows)
     print(f"wrote {out_path}")
 
     for block in blocks:
@@ -261,29 +257,6 @@ def _resolve_truth(args, model: ModelKind) -> tuple[ItemParams, ...]:
             f"--true-a has {len(true_a)} values but --true-b has {len(true_b)}"
         )
     return tuple(ItemParams(a=a, b=b) for a, b in zip(true_a, true_b))
-
-
-def write_study_csv(path: Path, summary: StudySummary, manifest_name: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {manifest_name}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STUDY_CSV_COLUMNS)
-        for row in summary.rows:
-            writer.writerow(
-                [
-                    row.item,
-                    row.estimator,
-                    row.n_quads,
-                    _fmt(row.true_a),
-                    _fmt(row.true_b),
-                    _fmt(row.mean_a),
-                    _fmt(row.mean_b),
-                    _fmt(row.rmse_a),
-                    _fmt(row.rmse_b),
-                    row.outliers,
-                    row.reps,
-                ]
-            )
 
 
 def _summary_json(summary: StudySummary) -> dict:
@@ -354,7 +327,7 @@ def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
         **_summary_json(summary),
     }
     json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    write_study_csv(csv_path, summary, json_path.name)
+    _write_csv(csv_path, json_path.name, STUDY_CSV_COLUMNS, map(asdict, summary.rows))
     print(f"wrote {csv_path} and {json_path}")
     if summary.failures:
         print(f"note: {summary.failures} fit(s) failed and were excluded")
@@ -375,9 +348,13 @@ def cmd_quadstudy(args) -> int:
 # parser
 
 
+def _add_model_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--model", required=True, choices=[kind.value for kind in ModelKind])
+    sub.add_argument("--estimator", default="ols", choices=[*simgen.ESTIMATORS, "both"])
+
+
 def _add_study_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", required=True, choices=["1pl", "2pl"])
-    sub.add_argument("--estimator", default="ols", choices=["ols", "nr", "both"])
+    _add_model_flags(sub)
     sub.add_argument("--reps", type=int, default=500)
     sub.add_argument("--n-persons", type=int, default=5000)
     sub.add_argument("--seed", type=int, default=0)
@@ -401,18 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = subs.add_parser("fit", help="estimate item parameters from a response CSV")
     fit.add_argument("data", help="CSV with one person per row, 0/1 values")
-    fit.add_argument("--model", required=True, choices=["1pl", "2pl"])
-    fit.add_argument("--estimator", default="ols", choices=["ols", "nr", "both"])
-    fit.add_argument("--n-quads", type=int, default=None)
-    fit.add_argument("--tol", type=float, default=1e-4)
-    fit.add_argument("--max-iter", type=int, default=500)
+    _add_model_flags(fit)
+    fit.add_argument("--n-quads", type=int, default=FitConfig.n_quads)
+    fit.add_argument("--tol", type=float, default=FitConfig.tol)
+    fit.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
     fit.add_argument("--out", required=True)
     fit.add_argument("--format", default="json", choices=["json", "csv"])
     fit.set_defaults(func=cmd_fit)
 
     sim = subs.add_parser("simulate", help="run a Monte-Carlo replication study")
     _add_study_flags(sim)
-    sim.add_argument("--n-quads", type=int, default=None)
+    sim.add_argument("--n-quads", type=int, default=FitConfig.n_quads)
     sim.set_defaults(func=cmd_simulate)
 
     quad = subs.add_parser(

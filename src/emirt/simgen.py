@@ -45,6 +45,8 @@ class StudyDesign:
             raise ValueError(f"n_persons must be >= 1, got {self.n_persons}")
         if not self.t_list:
             raise ValueError("t_list must be nonempty")
+        if len(set(self.t_list)) < len(self.t_list):
+            raise ValueError(f"t_list repeats a node count: {self.t_list}")
         for t in self.t_list:
             FitConfig(model=self.model, n_quads=t)
         if not self.true_params:
@@ -92,9 +94,6 @@ class StudySummary:
 
 @dataclass(frozen=True)
 class _FitRecord:
-    rep: int
-    estimator: str
-    n_quads: int
     wall_ms: float
     a_hat: tuple[float, ...] = ()
     b_hat: tuple[float, ...] = ()
@@ -153,15 +152,11 @@ def fit_estimator(data, estimator: str, cfg: FitConfig):
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def _record(rep: int, estimator: str, n_quads: int, wall_ms: float, outcome) -> _FitRecord:
+def _record(wall_ms: float, outcome) -> _FitRecord:
     """The record of one fit, from its FitResult or the exception it raised."""
     if isinstance(outcome, Exception):
-        error = f"{type(outcome).__name__}: {outcome}"
-        return _FitRecord(rep, estimator, n_quads, wall_ms, error=error)
+        return _FitRecord(wall_ms, error=f"{type(outcome).__name__}: {outcome}")
     return _FitRecord(
-        rep,
-        estimator,
-        n_quads,
         wall_ms,
         a_hat=tuple(p.a for p in outcome.params),
         b_hat=tuple(p.b for p in outcome.params),
@@ -170,32 +165,27 @@ def _record(rep: int, estimator: str, n_quads: int, wall_ms: float, outcome) -> 
     )
 
 
-def _run_cells(
-    design: StudyDesign, estimators: tuple[str, ...], seeds, first: int = 0
-) -> list[_FitRecord]:
-    """The fits of replications first, first + 1, ..., one lockstep EM call per cell.
+def _run_cells(design: StudyDesign, estimators: tuple[str, ...], seeds) -> dict:
+    """The records of each cell, one lockstep EM call per cell.
 
-    seeds holds those replications' seeds, in order; a cell is one
-    (estimator, node count) pair.  A fit's wall time is its cell's wall time
+    A cell is one (estimator, node count) pair, and its records follow seeds,
+    the replications' seeds.  A fit's wall time is its cell's wall time
     divided by the cell's fits.
     """
     tables = [tabulate(generate(design.true_params, design.n_persons, seed)) for seed in seeds]
-    records = []
+    cells = {}
     for estimator in estimators:
         fit_lockstep = {"ols": em_ols.fit_lockstep, "nr": em_nr.fit_nr_lockstep}[estimator]
         for n_quads in design.t_list:
             start = time.perf_counter()
             outcomes = fit_lockstep(tables, FitConfig(model=design.model, n_quads=n_quads))
             wall = (time.perf_counter() - start) * 1e3 / len(tables)
-            records.extend(
-                _record(first + i, estimator, n_quads, wall, outcome)
-                for i, outcome in enumerate(outcomes)
-            )
-    return records
+            cells[estimator, n_quads] = [_record(wall, outcome) for outcome in outcomes]
+    return cells
 
 
-def _run_replication(run) -> list[_FitRecord]:
-    """A pool task: the _run_cells fits of one contiguous run of replications."""
+def _run_replication(run) -> dict:
+    """A pool task: the _run_cells records of one contiguous run of replications."""
     return _run_cells(*run)
 
 
@@ -209,15 +199,16 @@ def _send_run(run, writer) -> None:
     writer.send(outcome)
 
 
-def _fit_runs(runs) -> list[_FitRecord]:
-    """The records of the runs, in run order, with one process fitting each run.
+def _fit_runs(runs) -> dict:
+    """The records of each cell over the runs, in run order, one process fitting each run.
 
     The calling process fits the first run, and a process started for each
-    further run sends its records back through a one-way pipe.  Every
-    process runs its E-step blocks inline, since together they occupy the
-    cores.  A child's exception is raised here, and so is a RuntimeError for
-    a child that ended without sending.  On any error the children still
-    running are terminated; every child is joined before this returns.
+    further run sends its cells back through a one-way pipe; each cell's
+    records are extended by those of each later run.  Every process runs its
+    E-step blocks inline, since together they occupy the cores.  A child's
+    exception is raised here, and so is a RuntimeError for a child that
+    ended without sending.  On any error the children still running are
+    terminated; every child is joined before this returns.
     """
     import multiprocessing  # loaded only for a pool
 
@@ -232,8 +223,9 @@ def _fit_runs(runs) -> list[_FitRecord]:
             # the write end, and recv reads end-of-file once it has exited.
             writer.close()
         with blocks_inline():
-            records = _run_replication(runs[0])
-        for _, reader, (_, _, seeds, first) in children:
+            cells = _run_replication(runs[0])
+        first = len(runs[0][2])
+        for _, reader, (_, _, seeds) in children:
             try:
                 outcome = reader.recv()
             except EOFError:
@@ -243,7 +235,9 @@ def _fit_runs(runs) -> list[_FitRecord]:
                 ) from None
             if isinstance(outcome, Exception):
                 raise outcome
-            records.extend(outcome)
+            for key, records in outcome.items():
+                cells[key].extend(records)
+            first += len(seeds)
     except BaseException:
         for child, _, _ in children:
             child.terminate()
@@ -252,72 +246,61 @@ def _fit_runs(runs) -> list[_FitRecord]:
         for child, reader, _ in children:
             child.join()
             reader.close()
-    return records
+    return cells
 
 
-def _aggregate(
-    design: StudyDesign, estimators: tuple[str, ...], records: list[_FitRecord]
-) -> StudySummary:
+def _mean(values: np.ndarray) -> float:
+    """The mean of values, or nan when none are left: every fit raised or was an outlier."""
+    return float(values.mean()) if len(values) else math.nan
+
+
+def _aggregate(design: StudyDesign, cells: dict) -> StudySummary:
+    """The study's rows and timing, reading each cell's records once, in order."""
     rows: list[StudyRow] = []
     timing: list[TimingStats] = []
-    failures = sum(1 for r in records if not r.ok)
-
-    for estimator in estimators:
-        for n_quads in design.t_list:
-            cell = sorted(
-                (
-                    r
-                    for r in records
-                    if r.ok and r.estimator == estimator and r.n_quads == n_quads
-                ),
-                key=lambda r: r.rep,
+    failures = 0
+    for (estimator, n_quads), records in cells.items():
+        walls = [r.wall_ms for r in records]
+        timing.append(
+            TimingStats(
+                estimator=estimator,
+                n_quads=n_quads,
+                fits=len(walls),
+                mean_ms=float(np.mean(walls)),
+                min_ms=float(np.min(walls)),
+                max_ms=float(np.max(walls)),
             )
-            walls = [
-                r.wall_ms
-                for r in records
-                if r.estimator == estimator and r.n_quads == n_quads
-            ]
-            timing.append(
-                TimingStats(
+        )
+        fitted = [r for r in records if r.ok]
+        failures += len(records) - len(fitted)
+        # (fits, J) arrays: item j reads column j.
+        shape = (len(fitted), len(design.true_params))
+        a_hat = np.reshape([r.a_hat for r in fitted], shape)
+        b_hat = np.reshape([r.b_hat for r in fitted], shape)
+        degenerate = np.reshape(np.array([r.degenerate for r in fitted], dtype=bool), shape)
+        out_a, out_b = outlier_verdicts(a_hat, b_hat, design.model, degenerate)
+        out = out_a | out_b
+        for j, truth in enumerate(design.true_params):
+            a_vals, b_vals, kept = a_hat[:, j], b_hat[:, j], ~out[:, j]
+            rows.append(
+                StudyRow(
+                    item=j + 1,
                     estimator=estimator,
                     n_quads=n_quads,
-                    fits=len(walls),
-                    mean_ms=float(np.mean(walls)) if walls else math.nan,
-                    min_ms=float(np.min(walls)) if walls else math.nan,
-                    max_ms=float(np.max(walls)) if walls else math.nan,
+                    true_a=truth.a,
+                    true_b=truth.b,
+                    mean_a=_mean(a_vals),
+                    mean_b=_mean(b_vals),
+                    rmse_a=math.sqrt(_mean((a_vals - truth.a) ** 2)),
+                    rmse_b=math.sqrt(_mean((b_vals - truth.b) ** 2)),
+                    filtered_mean_a=_mean(a_vals[kept]),
+                    filtered_mean_b=_mean(b_vals[kept]),
+                    outliers_a=int(out_a[:, j].sum()),
+                    outliers_b=int(out_b[:, j].sum()),
+                    outliers=int(out[:, j].sum()),
+                    reps=len(fitted),
                 )
             )
-            for j, truth in enumerate(design.true_params):
-                a_vals = np.array([r.a_hat[j] for r in cell])
-                b_vals = np.array([r.b_hat[j] for r in cell])
-                degenerate = np.array([r.degenerate[j] for r in cell], dtype=bool)
-                out_a, out_b = outlier_verdicts(a_vals, b_vals, design.model, degenerate)
-                out_mask = out_a | out_b
-                kept_a = a_vals[~out_mask]
-                kept_b = b_vals[~out_mask]
-                rows.append(
-                    StudyRow(
-                        item=j + 1,
-                        estimator=estimator,
-                        n_quads=n_quads,
-                        true_a=truth.a,
-                        true_b=truth.b,
-                        mean_a=float(a_vals.mean()) if len(a_vals) else math.nan,
-                        mean_b=float(b_vals.mean()) if len(b_vals) else math.nan,
-                        rmse_a=float(np.sqrt(np.mean((a_vals - truth.a) ** 2)))
-                        if len(a_vals)
-                        else math.nan,
-                        rmse_b=float(np.sqrt(np.mean((b_vals - truth.b) ** 2)))
-                        if len(b_vals)
-                        else math.nan,
-                        filtered_mean_a=float(kept_a.mean()) if len(kept_a) else math.nan,
-                        filtered_mean_b=float(kept_b.mean()) if len(kept_b) else math.nan,
-                        outliers_a=int(out_a.sum()),
-                        outliers_b=int(out_b.sum()),
-                        outliers=int(out_mask.sum()),
-                        reps=len(cell),
-                    )
-                )
 
     return StudySummary(
         design=design, rows=tuple(rows), timing=tuple(timing), failures=failures
@@ -346,6 +329,8 @@ def replicate_study(
     for est in estimators:
         if est not in ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}; expected one of {ESTIMATORS}")
+    if len(set(estimators)) < len(estimators):
+        raise ValueError(f"estimators repeat an estimator: {estimators}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
@@ -353,14 +338,14 @@ def replicate_study(
 
     n_runs = min(workers, design.reps)
     if n_runs == 1:
-        records = _run_cells(design, estimators, seeds)
+        cells = _run_cells(design, estimators, seeds)
     else:
         edges = [design.reps * k // n_runs for k in range(n_runs + 1)]
-        records = _fit_runs(
-            [(design, estimators, seeds[lo:hi], lo) for lo, hi in zip(edges, edges[1:])]
+        cells = _fit_runs(
+            [(design, estimators, seeds[lo:hi]) for lo, hi in zip(edges, edges[1:])]
         )
 
-    return _aggregate(design, estimators, records)
+    return _aggregate(design, cells)
 
 
 def quad_study(

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import emirt
-from emirt.cli import STUDY_CSV_COLUMNS, main
-from emirt.model import ItemParams
+from emirt.cli import STUDY_CSV_COLUMNS, build_parser, main
+from emirt.em_ols import FitConfig
+from emirt.model import ItemParams, ModelKind
 from emirt.simgen import generate
 
 
@@ -249,6 +250,15 @@ class TestQuadstudy:
         assert "error: expected integers, got" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_node_count_exits_one_without_output(self, tmp_path, capsys):
+        code = main(
+            ["quadstudy", "--model", "2pl", "--quads", "4,4", "--reps", "3",
+             "--n-persons", "500", "--seed", "1", "--out", str(tmp_path / "out" / "s")]
+        )
+        assert code == 1
+        assert "error: t_list repeats a node count: (4, 4)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_single_t_matches_simulate(self, tmp_path):
         common = ["--model", "1pl", "--reps", "2", "--n-persons", "300", "--seed", "9"]
         main(["simulate", *common, "--n-quads", "2", "--out", str(tmp_path / "sim")])
@@ -266,6 +276,28 @@ class TestQuadstudy:
         assert code == 0
         rows = read_study_csv(out.with_suffix(".csv"))
         assert sorted({r["n_quads"] for r in rows}) == [2, 3, 4, 5, 8, 10, 15]
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [("fit data.csv", ("n_quads", "tol", "max_iter")), ("simulate", ("n_quads",)),
+     ("quadstudy", ())],
+    ids=["fit", "simulate", "quadstudy"],
+)
+def test_parser_defaults_are_the_fit_configs(command, settings):
+    """The fit settings a command takes default to FitConfig's, and its choices to their owners."""
+    args = build_parser().parse_args([*command.split(), "--model", "2pl", "--out", "o"])
+    defaults = FitConfig(model=ModelKind.TWO_PL)
+    assert {name: getattr(args, name) for name in settings} == {
+        name: getattr(defaults, name) for name in settings
+    }
+    assert args.estimator == "ols"
+    for flag, choices in [("--model", ["1pl", "2pl"]), ("--estimator", ["ols", "nr", "both"])]:
+        for choice in choices:
+            argv = [*command.split(), "--model", "2pl", flag, choice, "--out", "o"]
+            assert build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command.split(), "--model", "2pl", flag, "x", "--out", "o"])
 
 
 def test_import_loads_no_process_pool():

@@ -155,6 +155,11 @@ def small_design(**overrides):
     return StudyDesign(**base)
 
 
+def first_rep(run):
+    """The first replication of a pool run (design, estimators, seeds): its first seed's index."""
+    return run[2][0].spawn_key[-1]
+
+
 @pytest.fixture
 def inline_processes(monkeypatch):
     """Replace multiprocessing.Process by a stand-in that starts no process.
@@ -235,12 +240,12 @@ class TestReplicateStudy:
     def test_timing_counts_every_attempted_fit(self, monkeypatch, workers):
         from emirt import simgen
 
-        records = []
+        handed = {}
         aggregate = simgen._aggregate
 
-        def recording_aggregate(design, estimators, fits):
-            records.extend(fits)
-            return aggregate(design, estimators, fits)
+        def recording_aggregate(design, cells):
+            handed.update(cells)
+            return aggregate(design, cells)
 
         monkeypatch.setattr(simgen, "_aggregate", recording_aggregate)
         design = small_design(reps=3, t_list=(2, 3))
@@ -249,14 +254,42 @@ class TestReplicateStudy:
             ("ols", 2), ("ols", 3), ("nr", 2), ("nr", 3)
         ]
         assert all(t.fits == design.reps for t in summary.timing)
+        assert list(handed) == [(t.estimator, t.n_quads) for t in summary.timing]
         # A lockstep cell shares its wall time out evenly over its fits.  One
         # worker fits reps 0-2 as one run; two fit rep 0 and reps 1-2.
         run_of_rep = [0, 0, 0] if workers == 1 else [0, 1, 1]
-        walls = {}
-        for r in records:
-            walls.setdefault((r.estimator, r.n_quads, run_of_rep[r.rep]), set()).add(r.wall_ms)
-        assert len(walls) == 4 * len(set(run_of_rep))
-        assert all(len(w) == 1 and min(w) > 0 for w in walls.values())
+        for records in handed.values():
+            assert len(records) == design.reps
+            walls = {}
+            for rep, r in enumerate(records):
+                walls.setdefault(run_of_rep[rep], set()).add(r.wall_ms)
+            assert len(walls) == len(set(run_of_rep))
+            assert all(len(w) == 1 and min(w) > 0 for w in walls.values())
+
+    @pytest.mark.parametrize("reps", [3, 5])
+    def test_split_runs_merge_into_the_whole(self, reps):
+        """Cells fitted over seeds[:k] then extended by seeds[k:] equal the cells over seeds."""
+        from emirt.simgen import _run_cells
+
+        design = small_design(reps=reps, model=ModelKind.TWO_PL, t_list=(2, 3))
+        estimators = ("ols", "nr")
+        seeds = np.random.SeedSequence(design.seed).spawn(reps)
+
+        def without_walls(cells):
+            return {key: [replace(r, wall_ms=0.0) for r in cell] for key, cell in cells.items()}
+
+        whole = without_walls(_run_cells(design, estimators, seeds))
+        assert list(whole) == [(e, t) for e in estimators for t in design.t_list]
+        assert all(len(cell) == reps for cell in whole.values())
+        for k in range(1, reps):
+            head = without_walls(_run_cells(design, estimators, seeds[:k]))
+            tail = without_walls(_run_cells(design, estimators, seeds[k:]))
+            assert list(head) == list(tail) == list(whole)
+            assert {key: head[key] + tail[key] for key in head} == whole
+
+    def test_repeated_estimator_rejected(self):
+        with pytest.raises(ValueError, match="estimators repeat an estimator"):
+            replicate_study(small_design(), estimators=("ols", "ols"))
 
     def test_multi_block_rows_independent_of_worker_count(self, monkeypatch):
         """A pool study's processes run their E-step blocks inline, a serial one on its threads."""
@@ -288,7 +321,7 @@ class TestReplicateStudy:
         run_replication = simgen._run_replication
 
         def recording(run):
-            helpers.append((run[3], expectation._helpers))
+            helpers.append((first_rep(run), expectation._helpers))
             return run_replication(run)
 
         monkeypatch.setattr(simgen, "_run_replication", recording)
@@ -327,11 +360,11 @@ class TestReplicateStudy:
         run_replication = simgen._run_replication
 
         def failing(run):
-            if run[3] == failing_run:
+            if first_rep(run) == failing_run:
                 if raised is RuntimeError:
                     os._exit(3)
                 raise raised("the failing run")
-            if run[3] > failing_run:
+            if first_rep(run) > failing_run:
                 time.sleep(60)
             return run_replication(run)
 
@@ -427,6 +460,10 @@ class TestStudyDesignValidation:
     def test_rejects_empty_t_list(self):
         with pytest.raises(ValueError):
             small_design(t_list=())
+
+    def test_rejects_repeated_node_count(self):
+        with pytest.raises(ValueError, match=r"t_list repeats a node count: \(4, 2, 4\)"):
+            small_design(t_list=(4, 2, 4))
 
     @pytest.mark.parametrize("t", [0, 51])
     def test_rejects_node_count_out_of_range(self, t):

@@ -26,7 +26,7 @@ from .model import ItemParams, ModelKind
 from .patterns import IngestionError, load_response_csv, tabulate
 from .simgen import StudyDesign, StudySummary, is_outlier
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 STUDY_CSV_COLUMNS = (
     "item",

@@ -207,17 +207,18 @@ def _run_em(
     b = 0.  The fits' parameters are (R, J) float64 arrays a and b, and the
     M-step, the probability matrices and the phi residuals each run once
     per iteration on the stacked (R, J, T) arrays.  The fits are ordered by
-    table length, and PatternStack.split puts neighbouring fits whose
-    tables have one length into stacks of at most BLOCK_ROWS rows, once;
-    the stacks are compacted as fits leave.  So all fits of small, equally
-    long tables share one stack, a larger table is a stack of its own, and
-    one stack's posterior is held at a time.  The E-step of an iteration
-    is one posterior call and one expected_counts call per stack: they
-    give every fit of it its log-likelihood, or its
-    PosteriorUnderflowError, and its counts.  A stacked numpy operation
-    computes each fit's slice over that fit's own rows, as a one-fit call
-    does, so every fit is bit-identical to a fit run alone.  An error of a
-    stacked call itself is the outcome of each of its fits.
+    table length, and PatternStack.split puts neighbouring fits into
+    stacks of at most BLOCK_ROWS rows in all, once, whatever their tables'
+    lengths; the stacks are compacted as fits leave.  So all fits of small
+    tables share one stack, a larger table is a stack of its own, and one
+    stack's posterior is held at a time.  The E-step of an iteration is
+    one posterior call and one expected_counts call per stack: they give
+    every fit of it its log-likelihood, or its PosteriorUnderflowError,
+    and its counts.  Their products and sums make one stacked call per
+    run of equally long tables, which computes each fit's slice over that
+    fit's own rows, as a one-fit call does, and the rest of their work is
+    row-local; so every fit is bit-identical to a fit run alone.  An error
+    of a stacked call itself is the outcome of each of its fits.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
     degenerate) over the stacked arrays, the last marking items to flag
@@ -301,7 +302,7 @@ def _run_em(
                     gone.append(i)
                 elif callback is not None:
                     k = i - start
-                    callback(iteration + 1, _item_params(a[i], b[i]), post[k],
+                    callback(iteration + 1, _item_params(a[i], b[i]), post[stack.rows_of(k)],
                              ExpectedCounts(n1=stack_counts.n1[k], nt=stack_counts.nt[k]))
             del post  # one stack's posterior at a time
         if len(gone) == len(live):

@@ -6,14 +6,15 @@ never produce infinities.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import copy_context
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,9 +46,9 @@ class ExpectedCounts:
     nt : (..., T)    expected number of persons at each node
 
     expected_counts gives one table's (J, T) and (T,) arrays, or, for a
-    PatternStack of R equally long tables, (R, J, T) and (R, T) arrays
-    whose slices are each table's own; the lockstep EM loop gathers the
-    stacks' counts along a leading replication axis.
+    PatternStack of R tables, (R, J, T) and (R, T) arrays whose slices are
+    each table's own; the lockstep EM loop gathers the stacks' counts
+    along a leading replication axis.
     """
 
     n1: np.ndarray
@@ -169,109 +170,174 @@ def _map_blocks(block, n_rows: int, *args) -> Sequence:
     return results
 
 
-@dataclass(frozen=True)
+class Run(NamedTuple):
+    """Neighbouring tables of one length P in a PatternStack, and views of their rows.
+
+    fits and rows are the slices of the k tables and of their rows in the
+    stack, and shape is (k, P, -1).  freqs is the (k, 1, P) view of their
+    frequencies; x, x_c and xf_t are the (k, P, I), (k, P, I) and (k, I, P)
+    views of the stack's operands, or None for a stack without them.
+    """
+
+    fits: slice
+    rows: slice
+    shape: tuple[int, int, int]
+    freqs: np.ndarray
+    x: np.ndarray | None
+    x_c: np.ndarray | None
+    xf_t: np.ndarray | None
+
+
+@dataclass(frozen=True, eq=False)
 class PatternStack:
-    """The equally long pattern tables of R fits, stacked for one E-step call.
+    """The pattern tables of R fits, their rows stacked for one E-step call.
 
-    tables      : the R tables, in fit order, of P rows each
-    patterns    : (R, P, I) array; slice r is tables[r]'s patterns
-    float_freqs : (R, P) float64 array; row r is tables[r]'s frequencies
+    tables      : the R tables, in fit order
+    patterns    : (rows, I) array of the tables' patterns, table after table
+    float_freqs : (rows,) float64 array of their frequencies
+    operands    : x, 1 - x and the f-weighted x, the (rows, I) float64
+                  operands of a stack of at most BLOCK_ROWS rows, built
+                  once; None for a longer table, whose blocks build theirs
+    runs        : a Run per run of neighbouring tables of one length, in order
 
-    n_patterns, n_items and float_freqs read as a table's do, so
-    expected_counts takes either.  A one-table stack is a view of its
-    table's own arrays.  tables is a list: a study sweep peaked 0.8 MB
-    higher when select built a tuple from a generator instead.
+    n_patterns (the rows in all), n_items and float_freqs read as a
+    table's do.  A one-table stack holds its table's own arrays.  tables is
+    a list: a study sweep peaked 0.8 MB higher when select built a tuple
+    from a generator instead.
     """
 
     tables: list[PatternData]
     patterns: np.ndarray
     float_freqs: np.ndarray
+    operands: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(init=False)
+    runs: list[Run] = field(init=False)
+
+    def __post_init__(self):
+        operands = None
+        if len(self.patterns) <= BLOCK_ROWS:
+            x = self.patterns.astype(np.float64)
+            operands = (x, 1.0 - x, x * self.float_freqs[:, None])
+        runs = []
+        fit = row = 0
+        for n, group in itertools.groupby(data.n_patterns for data in self.tables):
+            k = sum(1 for _ in group)
+            rows = slice(row, row + k * n)
+            views = [None] * 3
+            if operands is not None:
+                x, x_c, xf = (operand[rows].reshape(k, n, -1) for operand in operands)
+                views = [x, x_c, xf.swapaxes(-1, -2)]
+            freqs = self.float_freqs[rows].reshape(k, 1, n)
+            runs.append(Run(slice(fit, fit + k), rows, (k, n, -1), freqs, *views))
+            fit, row = fit + k, row + k * n
+        object.__setattr__(self, "operands", operands)
+        object.__setattr__(self, "runs", runs)
 
     @classmethod
     def of(cls, tables: Sequence[PatternData]) -> PatternStack:
-        """The stack of tables, which have the same items and the same number of rows."""
+        """The stack of tables, which have the same items."""
         tables = list(tables)
         if len(tables) == 1:
-            return cls(tables, tables[0].patterns[None], tables[0].float_freqs[None])
+            return cls(tables, tables[0].patterns, tables[0].float_freqs)
         return cls(
             tables,
-            np.stack([data.patterns for data in tables]),
-            np.stack([data.float_freqs for data in tables]),
+            np.concatenate([data.patterns for data in tables]),
+            np.concatenate([data.float_freqs for data in tables]),
         )
 
     @classmethod
     def split(cls, tables: Sequence[PatternData]) -> list[PatternStack]:
         """The stacks of consecutive groups of tables, in order.
 
-        A group holds neighbouring tables of one length P, as many as fill
-        R * P <= BLOCK_ROWS; a longer table is a group of its own.  So the
-        E-step's memory is that of a one-table fit, at any number of fits,
-        and every stacked product or sum runs over its fits' own rows.
+        A group holds neighbouring tables, as many as fill at most
+        BLOCK_ROWS rows in all; a longer table is a group of its own.  So
+        an E-step call's buffers are those of a one-table fit, at any
+        number of fits.  Tables ordered by length make the fewest runs.
         """
         groups: list[list[PatternData]] = []
+        rows = 0
         for data in tables:
             n = data.n_patterns
-            if groups and groups[-1][0].n_patterns == n and (len(groups[-1]) + 1) * n <= BLOCK_ROWS:
+            if groups and rows + n <= BLOCK_ROWS:
                 groups[-1].append(data)
+                rows += n
             else:
                 groups.append([data])
+                rows = n
         return [cls.of(group) for group in groups]
 
     @property
     def n_patterns(self) -> int:
-        """P, the rows of each table."""
-        return self.patterns.shape[1]
+        """The rows of all of the tables."""
+        return self.patterns.shape[0]
 
     @property
     def n_items(self) -> int:
-        return self.patterns.shape[2]
+        return self.patterns.shape[1]
+
+    def rows_of(self, k: int) -> slice:
+        """The rows of tables[k]."""
+        start = sum(data.n_patterns for data in self.tables[:k])
+        return slice(start, start + self.tables[k].n_patterns)
 
     def select(self, keep: np.ndarray) -> PatternStack:
         """The stack of the tables where keep is true."""
         if keep.all():
             return self
         tables = [data for data, k in zip(self.tables, keep.tolist()) if k]
-        return PatternStack(tables, self.patterns[keep], self.float_freqs[keep])
+        rows = np.repeat(keep, [data.n_patterns for data in self.tables])
+        return PatternStack(tables, self.patterns[rows], self.float_freqs[rows])
 
 
-def _normalise_block(rows, patterns, log_p, log_q, log_w, norm, post) -> None:
+def _normalise_block(rows, stack, log_p, log_q, log_w, norm, post) -> None:
     """Write one row block's log normalisers into norm and, given post, its posterior.
 
-    patterns is an (R, P, I) stack, log_p and log_q its (R, I, T) logs and
-    norm (R, P, 1); the block is the same rows of every slice, and all of
-    its work is row-local.  A stacked matmul makes one product per slice,
-    over that table's rows of the block, as a one-table call does.
+    log_p and log_q are the (R, I, T) logs of the stack's R probability
+    matrices, norm is (rows, 1) and post (rows, T).  A stack of at most
+    BLOCK_ROWS rows is one block.  Each of its runs makes each log-joint
+    product with one stacked matmul into the block's (rows, T) buffers: it
+    makes one product per table, over that table's own rows, as a
+    one-table call does.  A longer table builds each block's float rows
+    here.  The rest is row-local and runs once over all of the block's rows.
     """
-    x_b = patterns[:, rows].astype(np.float64)
-    log_joint = x_b @ log_p
-    log_joint += (1.0 - x_b) @ log_q
+    if stack.operands is None:
+        x_b = stack.patterns[rows].astype(np.float64)
+        log_joint = x_b @ log_p[0]
+        log_joint += (1.0 - x_b) @ log_q[0]
+    else:
+        log_joint = np.empty((len(stack.patterns), log_p.shape[-1]))
+        # the second product can go into post, which the exp below overwrites
+        part = np.empty_like(log_joint) if post is None else post
+        for run in stack.runs:
+            np.matmul(run.x, log_p[run.fits], out=log_joint[run.rows].reshape(run.shape))
+            np.matmul(run.x_c, log_q[run.fits], out=part[run.rows].reshape(run.shape))
+        log_joint += part
     log_joint += log_w
     peak = np.maximum.reduce(log_joint, axis=-1, keepdims=True)
-    norm_b = norm[:, rows]
+    norm_b = norm[rows]
     np.add(peak, np.log(np.add.reduce(np.exp(log_joint - peak), axis=-1, keepdims=True)),
            out=norm_b)
     if post is not None:
         log_joint -= norm_b
-        np.exp(log_joint, out=post[:, rows])
+        np.exp(log_joint, out=post[rows])
 
 
 def _log_normalisers(
     stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid, post: np.ndarray | None = None
 ) -> np.ndarray:
-    """log sum_t P(X|theta_t) A_t for every row X of the stack, shape (R, P, 1).
+    """log sum_t P(X|theta_t) A_t for every row X of the stack, shape (rows, 1).
 
-    prob is the (R, J, T) stack of the tables' probability matrices.  Works
-    over row blocks of the stack: each block's log joint
-    log P(X|theta_t) + log A_t is reduced with log-sum-exp, and, when an
-    (R, P, T) post is given, normalised into its rows of post.
+    prob is the (R, J, T) stack of the tables' probability matrices, whose
+    logs are taken once here.  Works over row blocks of the stack: each
+    block's log joint log P(X|theta_t) + log A_t is reduced with
+    log-sum-exp, and, when a (rows, T) post is given, normalised into its
+    rows of post.
     """
-    n_fits, n_rows, n_items = stack.patterns.shape
-    if prob.shape[1] != n_items:
-        raise ValueError(f"expected {n_items} item parameters, got {prob.shape[1]}")
-    norm = np.empty((n_fits, n_rows, 1))
+    if prob.shape[1] != stack.n_items:
+        raise ValueError(f"expected {stack.n_items} item parameters, got {prob.shape[1]}")
+    norm = np.empty((stack.n_patterns, 1))
     _map_blocks(
-        _normalise_block, n_rows,
-        stack.patterns, np.log(prob), np.log1p(-prob), grid.log_weights, norm, post,
+        _normalise_block, stack.n_patterns,
+        stack, np.log(prob), np.log1p(-prob), grid.log_weights, norm, post,
     )
     return norm
 
@@ -287,54 +353,74 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     bit-identical to observed_loglik at the same parameters.  Raises
     PosteriorUnderflowError when a pattern's likelihood underflows.
 
-    For a PatternStack of R equally long tables, prob is the (R, J, T)
-    stack of their matrices.  Returns (post, logliks): post is (R, P, T),
-    and logliks[r] is fit r's log-likelihood or its
-    PosteriorUnderflowError.  Every step, the log-likelihoods' one stacked
-    (R, 1, P) @ (R, P, 1) product included, makes one call per slice over
-    that table's own rows, so every fit gets the values of a call on its
-    table alone, bit for bit.
+    For a PatternStack of R tables of any lengths, prob is the (R, J, T)
+    stack of their matrices.  Returns (post, logliks): post is (rows, T),
+    table r's posterior in its rows_of(r), and logliks[r] is fit r's
+    log-likelihood or its PosteriorUnderflowError.  The log-joint products
+    and the log-likelihoods' sums make one stacked call per run of equally
+    long tables, one product per table over its own rows; the rest is
+    row-local and runs once over the stack.  So every fit gets the values
+    of a call on its table alone, bit for bit.
     """
     stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
     prob = prob if stack is data else prob[None]
-    post = np.empty((*stack.patterns.shape[:2], grid.size))
+    post = np.empty((stack.n_patterns, grid.size))
+    logliks = []
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = _log_normalisers(stack, prob, grid, post)
-        sums = (stack.float_freqs[:, None, :] @ norm)[:, 0, 0].tolist()
-    # norms of clamped probabilities are far from overflow: a sum is finite iff all its terms are
-    logliks = [
-        s if math.isfinite(s) else PosteriorUnderflowError(int(np.argmin(np.isfinite(norm[r]))))
-        for r, s in enumerate(sums)
-    ]
+        for run in stack.runs:
+            norms = norm[run.rows].reshape(run.shape)
+            sums = run.freqs @ norms
+            # norms of clamped probabilities are far from overflow: a sum is finite iff all its terms are
+            logliks += [
+                s if math.isfinite(s) else PosteriorUnderflowError(int(np.argmin(np.isfinite(n))))
+                for s, n in zip(sums[:, 0, 0].tolist(), norms)
+            ]
     if stack is data:
         return post, logliks
     (loglik,) = logliks
     if isinstance(loglik, PosteriorUnderflowError):
         raise loglik
-    return post[0], loglik
+    return post, loglik
 
 
-def _count_block(rows, patterns, freqs, post) -> tuple[np.ndarray, np.ndarray]:
-    """One row block's (N_t, N1_jt) partial counts, of a table or of each table of a stack."""
-    f_b, post_b = freqs[..., None, rows], post[..., rows, :]
-    return (f_b @ post_b)[..., 0, :], (patterns[..., rows, :].swapaxes(-1, -2) * f_b) @ post_b
+def _count_block(rows, stack, post) -> tuple[np.ndarray, np.ndarray]:
+    """One row block's partial (R, T) N_t and (R, I, T) N1_jt for the stack's R tables.
+
+    A one-block stack makes one stacked product per run for each count; a
+    longer table builds its block's weighted rows here.
+    """
+    if stack.operands is None:
+        f_b, post_b = stack.float_freqs[None, rows], post[rows]
+        return f_b @ post_b, ((stack.patterns[rows].T * f_b) @ post_b)[None]
+    nt = np.empty((len(stack.tables), post.shape[1]))
+    n1 = np.empty((len(stack.tables), stack.patterns.shape[1], post.shape[1]))
+    for run in stack.runs:
+        post_r = post[run.rows].reshape(run.shape)
+        nt[run.fits] = (run.freqs @ post_r)[:, 0]
+        np.matmul(run.xf_t, post_r, out=n1[run.fits])
+    return nt, n1
 
 
 def expected_counts(data: PatternData | PatternStack, post: np.ndarray) -> ExpectedCounts:
     """Expected per-node counts N1_jt and N_t from a posterior table.
 
     A table and its (P, T) posterior give (J, T) and (T,) counts.  A
-    PatternStack of R tables and its (R, P, T) posterior give (R, J, T)
+    PatternStack of R tables and its (rows, T) posterior give (R, J, T)
     and (R, T), each fit's slice that of a call on its table alone, bit
-    for bit.  The first row block gives the counts, and each further block
+    for bit: each count is one stacked product per run of equally long
+    tables.  The first row block gives the counts, and each further block
     adds its own, in block order.
     """
-    parts = _map_blocks(_count_block, data.n_patterns, data.patterns, data.float_freqs, post)
+    stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
+    parts = _map_blocks(_count_block, stack.n_patterns, stack, post)
     nt, n1 = parts[0]
     for nt_b, n1_b in parts[1:]:
         nt += nt_b
         n1 += n1_b
-    return ExpectedCounts(n1=n1, nt=nt)
+    if stack is data:
+        return ExpectedCounts(n1=n1, nt=nt)
+    return ExpectedCounts(n1=n1[0], nt=nt[0])
 
 
 def observed_loglik(data: PatternData, prob: np.ndarray, grid: QuadratureGrid) -> float:
@@ -344,7 +430,7 @@ def observed_loglik(data: PatternData, prob: np.ndarray, grid: QuadratureGrid) -
     it on its own and is the reference the fit traces are tested against.
     """
     norm = _log_normalisers(PatternStack.of([data]), prob[None], grid)
-    return float(data.float_freqs @ norm[0, :, 0])
+    return float(data.float_freqs @ norm[:, 0])
 
 
 def q1(prob: np.ndarray, counts: ExpectedCounts) -> float:

@@ -76,9 +76,16 @@ class StudyRow:
 
 @dataclass(frozen=True)
 class TimingStats:
+    """One cell's fit count and wall time per fit.
+
+    nonconverged counts the fits that stopped at max_iter without
+    converging; the cell's means include them.
+    """
+
     estimator: str
     n_quads: int
     fits: int
+    nonconverged: int
     mean_ms: float
     min_ms: float
     max_ms: float
@@ -119,8 +126,9 @@ def generate(
     theta = rng.standard_normal(n_persons)
     a = np.array([p.a for p in true_params])
     b = np.array([p.b for p in true_params])
-    prob = logistic(a[None, :] * (theta[:, None] - b[None, :]))
-    return (rng.random(prob.shape) < prob).astype(np.uint8)
+    # (J, N), item-major, so that numpy's inner loops run over persons
+    prob = logistic(a[:, None] * (theta[None, :] - b[:, None]))
+    return (rng.random((n_persons, len(a))) < prob.T).astype(np.uint8)
 
 
 def outlier_verdicts(a, b, model: ModelKind, degenerate=False):
@@ -266,6 +274,7 @@ def _aggregate(design: StudyDesign, cells: dict) -> StudySummary:
                 estimator=estimator,
                 n_quads=n_quads,
                 fits=len(walls),
+                nonconverged=sum(r.ok and not r.converged for r in records),
                 mean_ms=float(np.mean(walls)),
                 min_ms=float(np.min(walls)),
                 max_ms=float(np.max(walls)),

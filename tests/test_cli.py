@@ -50,7 +50,7 @@ class TestFit:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert payload["manifest"]["command"] == "fit"
         assert len(payload["manifest"]["input_digest"]) == 64
         assert payload["converged"] is True

@@ -138,13 +138,18 @@ def test_twenty_item_tables_of_different_lengths(estimator):
     assert [outcome_repr(o) for o in together] == [outcome_repr(o) for o in alone]
 
 
+def same_tables(got, want):
+    """Whether got and want list the same table objects, in order."""
+    return [id(data) for data in got] == [id(data) for data in want]
+
+
 @pytest.mark.parametrize("estimator", sorted(ENGINES))
 def test_one_stacked_estep_per_iteration(tables, estimator, monkeypatch):
-    """One posterior and one expected_counts call per equal-length stack of live fits.
+    """One posterior and one expected_counts call per iteration, on one stack of the live fits.
 
-    Identical tables share one stack, so they make one pair of calls per
-    iteration whatever their number; the fixture's tables of 22, 23 and 25
-    patterns make one pair per length still live, on the posterior's stack.
+    Identical tables, or the fixture's tables of 22, 23 and 25 patterns:
+    whatever their number and lengths, the live fits share one stack,
+    shortest table first, and the counts call takes the posterior's stack.
     """
     _, lockstep = ENGINES[estimator]
     calls = []
@@ -156,86 +161,104 @@ def test_one_stacked_estep_per_iteration(tables, estimator, monkeypatch):
         monkeypatch.setattr(expectation, name, counted)
     cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=4, max_iter=100)
     one = tables[ModelKind.TWO_PL][0]
+    assert {data.n_patterns for data in tables[ModelKind.TWO_PL]} == {22, 23, 25}
     for n_fits in (1, 3, 5):
-        calls.clear()
-        (outcome, *_) = lockstep([one] * n_fits, cfg)
-        per_iteration = [("posterior", n_fits), ("expected_counts", n_fits)]
-        assert [(name, len(stack.tables)) for name, stack in calls] == per_iteration * (
-            outcome.iterations + 1
-        )
-
-        calls.clear()
-        batch = tables[ModelKind.TWO_PL][:n_fits]
-        outcomes = lockstep(batch, cfg)
-        names, stacks = zip(*calls)
-        assert names == ("posterior", "expected_counts") * (len(calls) // 2)
-        assert all(p is c for p, c in zip(stacks[::2], stacks[1::2]))  # counts of the same stack
-        stacks = stacks[::2]
-        for stack in stacks:
-            assert {data.n_patterns for data in stack.tables} == {stack.n_patterns}
-        live_lengths = [
-            {data.n_patterns for data, o in zip(batch, outcomes) if o.iterations >= k}
-            for k in range(1 + max(o.iterations for o in outcomes))
-        ]
-        assert len(stacks) == sum(map(len, live_lengths))
-        assert [stack.n_patterns for stack in stacks[: len(live_lengths[0])]] == sorted(
-            live_lengths[0]
-        )
+        for batch in ([one] * n_fits, tables[ModelKind.TWO_PL][:n_fits]):
+            calls.clear()
+            outcomes = lockstep(batch, cfg)
+            names, stacks = zip(*calls)
+            assert names == ("posterior", "expected_counts") * (1 + max(o.iterations for o in outcomes))
+            assert all(p is c for p, c in zip(stacks[::2], stacks[1::2]))  # counts of the same stack
+            for k, stack in enumerate(stacks[::2]):
+                live = [data for data, o in zip(batch, outcomes) if o.iterations >= k]
+                assert same_tables(stack.tables, sorted(live, key=lambda data: data.n_patterns))
 
 
 @pytest.mark.parametrize("estimator", sorted(ENGINES))
 def test_stacks_hold_at_most_block_rows(estimator, monkeypatch):
     """Fits whose tables stack past BLOCK_ROWS rows are split over several E-step calls.
 
-    At 40 rows per block, the 3-person tables stack, shortest first, and
-    each 1000-person table (over 20 patterns) has a call of its own.  The
+    At 40 rows per block, the three 3-person tables (at most 9 rows) and
+    the shorter 1000-person table (22 patterns) share a stack, shortest
+    first, and the longer one (25 patterns) has a call of its own.  The
     fits stay bit-identical.
     """
     monkeypatch.setattr(expectation, "BLOCK_ROWS", 40)
     fit_fn, lockstep = ENGINES[estimator]
     sizes = (3, 3, 1000, 1000, 3)
     batch = [tabulate(generate(TRUTH[ModelKind.TWO_PL], n, seed)) for seed, n in enumerate(sizes)]
-    assert max(data.n_patterns for data in batch[:2]) <= 3 and batch[2].n_patterns > 20
+    assert [data.n_patterns for data in batch] == [3, 3, 22, 25, 3]
     original = expectation.posterior
-    fits_per_call = []
+    stacks = []
 
     def counted(stack, prob, grid):
-        fits_per_call.append(len(stack.tables))
-        assert len(stack.tables) == 1 or len(stack.tables) * stack.n_patterns <= 40
+        stacks.append(stack)
+        assert len(stack.tables) == 1 or stack.n_patterns <= 40
         return original(stack, prob, grid)
 
     monkeypatch.setattr(expectation, "posterior", counted)
     cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=5, max_iter=30)
     together = lockstep(batch, cfg)
-    assert fits_per_call[:3] == [3, 1, 1]
+    assert same_tables(stacks[0].tables, [batch[0], batch[1], batch[4], batch[2]])
+    assert [len(run) for run in (stacks[0].runs, stacks[1].runs)] == [2, 1]
+    assert same_tables(stacks[1].tables, [batch[3]])
     monkeypatch.setattr(expectation, "posterior", original)
     alone = one_at_a_time(fit_fn, batch, cfg)
     assert [outcome_repr(o) for o in together] == [outcome_repr(o) for o in alone]
 
 
 def test_split_stacks_consecutive_tables_within_block_rows(monkeypatch):
-    """At 5 rows per block a stack holds neighbouring tables of one length only.
+    """At 5 rows per block a stack holds neighbouring tables of any lengths, 5 rows at most.
 
-    Five 1-row tables fill a stack and the sixth starts another; 2 + 2
-    rows fit, a third 2-row table (3 * 2 > 5) does not; the 1-row table
-    after it differs in length, and 7 rows stand alone.
+    Five 1-row tables fill a stack; the sixth and two 2-row tables fill the
+    next, in two runs; the third 2-row table and the 1-row table after it
+    make a third, and the 7-row table, longer than a block, stands alone
+    with no float operands.
     """
     monkeypatch.setattr(expectation, "BLOCK_ROWS", 5)
     full = tabulate(generate(TRUTH[ModelKind.ONE_PL], 300, 0))
     lengths = (1, 1, 1, 1, 1, 1, 2, 2, 2, 1, 7)
     batch = [PatternData(full.patterns[-n:], full.freqs[-n:] + k) for k, n in enumerate(lengths)]
     stacks = expectation.PatternStack.split(batch)
-    assert [len(stack.tables) for stack in stacks] == [5, 1, 2, 1, 1, 1]
-    assert [stack.n_patterns for stack in stacks] == [1, 1, 2, 2, 1, 7]
+    assert [len(stack.tables) for stack in stacks] == [5, 3, 2, 1]
+    assert [stack.n_patterns for stack in stacks] == [5, 5, 3, 7]
+    assert [[run.shape[:2] for run in stack.runs] for stack in stacks] == [
+        [(5, 1)], [(1, 1), (2, 2)], [(1, 2), (1, 1)], [(1, 7)]
+    ]
     assert [data for stack in stacks for data in stack.tables] == batch
     for stack in stacks:
-        n_fits, n = len(stack.tables), stack.n_patterns
-        assert stack.patterns.shape == (n_fits, n, stack.n_items)
-        assert stack.float_freqs.shape == (n_fits, n)
-        for rows, freqs, data in zip(stack.patterns, stack.float_freqs, stack.tables):
-            assert np.array_equal(rows, data.patterns)
-            assert np.array_equal(freqs, data.float_freqs)
+        assert stack.patterns.shape == (stack.n_patterns, stack.n_items)
+        assert stack.float_freqs.shape == (stack.n_patterns,)
+        for k, data in enumerate(stack.tables):
+            rows = stack.rows_of(k)
+            assert np.array_equal(stack.patterns[rows], data.patterns)
+            assert np.array_equal(stack.float_freqs[rows], data.float_freqs)
+            if stack.operands is not None:
+                x, x_c, xf = (operand[rows] for operand in stack.operands)
+                assert np.array_equal(x, data.patterns) and np.array_equal(x_c, 1 - data.patterns)
+                assert np.array_equal(xf, data.patterns * data.float_freqs[:, None])
+        for run in stack.runs:
+            n_fits, n, _ = run.shape
+            assert {data.n_patterns for data in stack.tables[run.fits]} == {n}
+            assert run.rows.stop - run.rows.start == n_fits * n == (run.fits.stop - run.fits.start) * n
+            assert np.array_equal(run.freqs[:, 0], stack.float_freqs[run.rows].reshape(n_fits, n))
+            if stack.operands is None:
+                assert run.x is run.x_c is run.xf_t is None
+                continue
+            for view, operand in zip((run.x, run.x_c, run.xf_t.swapaxes(-1, -2)), stack.operands):
+                assert np.shares_memory(view, operand)
+                assert np.array_equal(view, operand[run.rows].reshape(n_fits, n, -1))
+    assert stacks[-1].operands is None
     assert np.shares_memory(stacks[-1].patterns, batch[-1].patterns)  # one table: a view
+    # compaction slices the rows and operands of the tables kept
+    kept = stacks[1].select(np.array([True, False, True]))
+    fresh = expectation.PatternStack.of([batch[5], batch[7]])
+    assert same_tables(kept.tables, fresh.tables)
+    assert [run[:3] for run in kept.runs] == [run[:3] for run in fresh.runs]
+    for got, want in zip((kept.patterns, kept.float_freqs, *kept.operands),
+                         (fresh.patterns, fresh.float_freqs, *fresh.operands)):
+        assert np.array_equal(got, want)
+    assert stacks[0].select(np.ones(5, dtype=bool)) is stacks[0]
     assert expectation.PatternStack.split([]) == []
 
 
@@ -244,37 +267,45 @@ def test_split_stacks_consecutive_tables_within_block_rows(monkeypatch):
 def test_stacked_counts_and_logliks_are_each_tables_own(n_items, n_quads):
     """A stack gives every table the counts and log-likelihood of a call on it alone.
 
-    Four equally long tables, each at its own parameters; the third has a
-    NaN response in pattern 6, so its likelihood underflows.  It gets its
+    Four tables of three lengths, each at its own parameters; the third has
+    a NaN response in pattern 6, so its likelihood underflows.  It gets its
     own PosteriorUnderflowError, and the other tables' posteriors, counts
     and log-likelihoods equal expected_counts and observed_loglik on each
-    table alone, bit for bit, as they do in a stack without it.
+    table alone, bit for bit, as they do in stacks without it, of two and
+    of three lengths, and in a stack out of length order.
     """
     rng = np.random.default_rng(n_items * 100 + n_quads)
     truth = [ItemParams(a=a, b=b)
              for a, b in zip(rng.uniform(0.7, 1.6, n_items), rng.uniform(-1.5, 1.5, n_items))]
     batch = [tabulate(generate(truth, 400, seed)) for seed in range(4)]
     n = min(data.n_patterns for data in batch)
-    batch = [PatternData(data.patterns[:n], data.freqs[:n]) for data in batch]
+    lengths = (n - 4, n - 1, n - 1, n)
+    batch = [PatternData(data.patterns[:m], data.freqs[:m]) for data, m in zip(batch, lengths)]
     batch[2] = nan_pattern_table(batch[2], index=6)
     grid = normal_grid(n_quads)
     a, b = rng.uniform(0.5, 2.0, (4, n_items)), rng.uniform(-2.0, 2.0, (4, n_items))
     prob = expectation.response_prob_matrix(a, b, grid)
 
-    def stacked(fits):
+    def stacked(fits, n_lengths):
         stack = expectation.PatternStack.of([batch[r] for r in fits])
+        assert len(stack.runs) == n_lengths
         post, logliks = expectation.posterior(stack, prob[fits], grid)
+        assert post.shape == (sum(lengths[r] for r in fits), n_quads)
         counts = expectation.expected_counts(stack, post)
-        return {r: (logliks[k], [post[k], counts.n1[k], counts.nt[k]]) for k, r in enumerate(fits)}
+        return {
+            r: (logliks[k], [post[stack.rows_of(k)], counts.n1[k], counts.nt[k]])
+            for k, r in enumerate(fits)
+        }
 
-    together, without = stacked([0, 1, 2, 3]), stacked([0, 1, 3])
+    together = stacked([0, 1, 2, 3], 3)
     error = together[2][0]
     assert isinstance(error, PosteriorUnderflowError) and error.pattern_index == 6
+    others = [stacked([0, 1, 3], 3), stacked([1, 3], 2), stacked([3, 0, 1], 3)]
     for r in (0, 1, 3):
         post, loglik = expectation.posterior(batch[r], prob[r], grid)
         counts = expectation.expected_counts(batch[r], post)
         assert loglik == expectation.observed_loglik(batch[r], prob[r], grid)
-        for got_loglik, got_arrays in (together[r], without[r]):
+        for got_loglik, got_arrays in [together[r]] + [s[r] for s in others if r in s]:
             assert got_loglik == loglik
             for got, want in zip(got_arrays, [post, counts.n1, counts.nt]):
                 assert np.array_equal(got, want)

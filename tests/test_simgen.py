@@ -10,6 +10,7 @@ import pytest
 
 from emirt.em_nr import fit_nr
 from emirt.em_ols import FitConfig, fit
+from emirt.expectation import logistic
 from emirt.model import ItemParams, ModelKind
 from emirt.patterns import tabulate
 from emirt.simgen import (
@@ -17,6 +18,8 @@ from emirt.simgen import (
     DEFAULT_TRUE_A,
     DEFAULT_TRUE_B,
     StudyDesign,
+    _aggregate,
+    _FitRecord,
     fit_estimator,
     generate,
     is_outlier,
@@ -48,6 +51,21 @@ class TestGenerate:
         assert matrix.shape == (50, 3)
         assert matrix.dtype == np.uint8
         assert set(np.unique(matrix)) <= {0, 1}
+
+    @pytest.mark.parametrize("n_persons", [1, 7, 5000])
+    def test_draws_match_the_person_major_formula(self, n_persons):
+        """The item-major probabilities give the matrix of the (N, J) formula, bit for bit."""
+        truth = [ItemParams(a=a, b=b) for a, b in zip(DEFAULT_TRUE_A, DEFAULT_TRUE_B)]
+        a = np.array(DEFAULT_TRUE_A)
+        b = np.array(DEFAULT_TRUE_B)
+        for seed in np.random.SeedSequence(2024).spawn(4):
+            rng = np.random.default_rng(seed)
+            theta = rng.standard_normal(n_persons)
+            prob = logistic(a[None, :] * (theta[:, None] - b[None, :]))
+            want = (rng.random(prob.shape) < prob).astype(np.uint8)
+            got = generate(truth, n_persons, seed)
+            assert got.flags.c_contiguous and got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
 
 
 class TestIsOutlier:
@@ -185,6 +203,51 @@ def inline_processes(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
     return started
+
+
+def fit_record(b_hat, converged=True):
+    """A record of a fit of two items at a = 1 that raised nothing."""
+    return _FitRecord(1.0, (1.0, 1.0), b_hat, (False, False), converged)
+
+
+class TestAggregate:
+    """_aggregate on synthetic cells: two items, one fit raised, one stopped at max_iter."""
+
+    CELLS = {
+        ("ols", 2): [
+            fit_record((-1.0, 1.0)),
+            fit_record((-2.0, 4.0), converged=False),
+            _FitRecord(1.0, error="ValueError: boom"),
+            fit_record((0.0, 7.0)),
+        ],
+        ("ols", 3): [fit_record((-1.0, 1.0))],
+    }
+
+    def test_counts_nonconverged_fits_per_cell(self):
+        summary = _aggregate(small_design(t_list=(2, 3)), self.CELLS)
+        assert [(t.n_quads, t.fits, t.nonconverged) for t in summary.timing] == [(2, 4, 1), (3, 1, 0)]
+        assert summary.failures == 1
+
+    def test_nonconverged_fits_stay_in_the_means(self):
+        rows = _aggregate(small_design(t_list=(2, 3)), self.CELLS).rows
+        by_cell = {(row.n_quads, row.item): row for row in rows}
+        assert by_cell[2, 1].reps == 3 and by_cell[2, 1].mean_b == -1.0
+        assert by_cell[2, 2].mean_b == 4.0 and by_cell[2, 2].outliers_b == 1
+        assert by_cell[2, 2].filtered_mean_b == 2.5
+        assert by_cell[3, 1].reps == 1
+
+    def test_study_json_timing_carries_the_count(self, tmp_path):
+        import json
+
+        from emirt.cli import SCHEMA_VERSION, main
+
+        out = tmp_path / "study"
+        argv = ["simulate", "--model", "1pl", "--reps", "2", "--n-persons", "200", "--out", str(out)]
+        assert main(argv) == 0
+        payload = json.loads(out.with_suffix(".json").read_text())
+        assert payload["schema_version"] == SCHEMA_VERSION == 4
+        (timing,) = payload["timing"]
+        assert timing["fits"] == 2 and timing["nonconverged"] == 0
 
 
 class TestReplicateStudy:

@@ -318,8 +318,9 @@ def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
     if stem.suffix in (".csv", ".json"):
         stem = stem.with_suffix("")
     stem.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = stem.with_suffix(".csv")
-    json_path = stem.with_suffix(".json")
+    # appended, not swapped in: the stems d/run.seed1 and d/run.seed2 name two studies
+    csv_path = stem.with_name(stem.name + ".csv")
+    json_path = stem.with_name(stem.name + ".json")
 
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -86,6 +86,9 @@ def response_prob_matrix(a: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> 
 # 2 MiB L2 cache; a table of at most BLOCK_ROWS patterns is one block.  A
 # PatternStack of several tables holds at most BLOCK_ROWS rows in all, so
 # it is one block too, and its posterior is no larger than one block's.
+# The blocks of a larger table run node-major, as (T, rows) arrays whose
+# reductions over the nodes run along contiguous rows (_normalise_block);
+# a one-block stack keeps the row-major arithmetic, bit for bit.
 BLOCK_ROWS = 2048
 
 # The caller and _helpers pool threads work through the blocks of a larger
@@ -296,21 +299,36 @@ def _normalise_block(rows, stack, log_p, log_q, log_w, norm, post) -> None:
     BLOCK_ROWS rows is one block.  Each of its runs makes each log-joint
     product with one stacked matmul into the block's (rows, T) buffers: it
     makes one product per table, over that table's own rows, as a
-    one-table call does.  A longer table builds each block's float rows
-    here.  The rest is row-local and runs once over all of the block's rows.
+    one-table call does.  The rest is row-local and runs once over all of
+    the block's rows, reducing over the short node axis of each row.
+
+    A longer table builds each block's float rows here and works node-major,
+    on a (T, rows) log joint whose peak and log-sum-exp reduce over its
+    contiguous rows, about ten times faster at T = 10 than over each row's
+    T nodes; its post is the transpose of a (T, P) buffer.  The sums then
+    run over the nodes in order rather than pairwise, so they round
+    differently from a one-block call: single-block stacks keep the
+    row-major arithmetic, and with it every study fit, bit for bit.
     """
     if stack.operands is None:
         x_b = stack.patterns[rows].astype(np.float64)
-        log_joint = x_b @ log_p[0]
-        log_joint += (1.0 - x_b) @ log_q[0]
-    else:
-        log_joint = np.empty((len(stack.patterns), log_p.shape[-1]))
-        # the second product can go into post, which the exp below overwrites
-        part = np.empty_like(log_joint) if post is None else post
-        for run in stack.runs:
-            np.matmul(run.x, log_p[run.fits], out=log_joint[run.rows].reshape(run.shape))
-            np.matmul(run.x_c, log_q[run.fits], out=part[run.rows].reshape(run.shape))
-        log_joint += part
+        log_joint = log_p[0].T @ x_b.T
+        log_joint += log_q[0].T @ (1.0 - x_b).T
+        log_joint += log_w[:, None]
+        peak = np.maximum.reduce(log_joint, axis=0)
+        norm_b = norm[rows, 0]
+        np.add(peak, np.log(np.add.reduce(np.exp(log_joint - peak), axis=0)), out=norm_b)
+        if post is not None:
+            log_joint -= norm_b
+            np.exp(log_joint, out=post.T[:, rows])
+        return
+    log_joint = np.empty((len(stack.patterns), log_p.shape[-1]))
+    # the second product can go into post, which the exp below overwrites
+    part = np.empty_like(log_joint) if post is None else post
+    for run in stack.runs:
+        np.matmul(run.x, log_p[run.fits], out=log_joint[run.rows].reshape(run.shape))
+        np.matmul(run.x_c, log_q[run.fits], out=part[run.rows].reshape(run.shape))
+    log_joint += part
     log_joint += log_w
     peak = np.maximum.reduce(log_joint, axis=-1, keepdims=True)
     norm_b = norm[rows]
@@ -361,10 +379,17 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     long tables, one product per table over its own rows; the rest is
     row-local and runs once over the stack.  So every fit gets the values
     of a call on its table alone, bit for bit.
+
+    A table of more than BLOCK_ROWS patterns is written node-major, block
+    by block, into a (T, P) buffer, and post is that buffer's transpose:
+    the same (P, T) posterior by value, read column-major in memory.
     """
     stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
     prob = prob if stack is data else prob[None]
-    post = np.empty((stack.n_patterns, grid.size))
+    if stack.operands is None:  # node-major blocks, see _normalise_block
+        post = np.empty((grid.size, stack.n_patterns)).T
+    else:
+        post = np.empty((stack.n_patterns, grid.size))
     logliks = []
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = _log_normalisers(stack, prob, grid, post)
@@ -387,12 +412,16 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
 def _count_block(rows, stack, post) -> tuple[np.ndarray, np.ndarray]:
     """One row block's partial (R, T) N_t and (R, I, T) N1_jt for the stack's R tables.
 
-    A one-block stack makes one stacked product per run for each count; a
-    longer table builds its block's weighted rows here.
+    A one-block stack makes one stacked product per run for each count.  A
+    longer table reads its block node-major, as the (T, rows) post.T[:, rows]
+    that posterior wrote: N_t is the row sums of the frequency-weighted
+    block, and N1 its product with the block's float patterns.
     """
     if stack.operands is None:
-        f_b, post_b = stack.float_freqs[None, rows], post[rows]
-        return f_b @ post_b, ((stack.patterns[rows].T * f_b) @ post_b)[None]
+        # a C-ordered product, whatever post's layout, so the sums add in one order
+        weighted = np.multiply(post.T[:, rows], stack.float_freqs[rows], order="C")
+        x_b = stack.patterns[rows].astype(np.float64)
+        return np.add.reduce(weighted, axis=1)[None], (x_b.T @ weighted.T)[None]
     nt = np.empty((len(stack.tables), post.shape[1]))
     n1 = np.empty((len(stack.tables), stack.patterns.shape[1], post.shape[1]))
     for run in stack.runs:

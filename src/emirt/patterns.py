@@ -132,9 +132,9 @@ def load_response_csv(path: str | Path, raw: bytes | None = None) -> np.ndarray:
 
     An optional header row is detected by the presence of any token that is
     not 0 or 1.  Accepts LF or CRLF line endings.  A strict file (0/1
-    values, bare commas, LF line ends, final newline) is parsed as one
-    byte array; any other file goes to the csv-module parser, which owns
-    every IngestionError.  raw, when given, is the file's bytes, already
+    values, bare commas, LF or CRLF line ends throughout, final newline) is
+    parsed as one byte array; any other file goes to the csv-module parser,
+    which owns every IngestionError.  raw, when given, is the file's bytes, already
     read by the caller; path then only names the file in errors.
     """
     if raw is None:
@@ -147,33 +147,38 @@ def _parse_strict(raw: bytes) -> np.ndarray | None:
     """The response matrix of a strict file, or None for any other file.
 
     A leading UTF-8 byte-order mark is skipped, as _parse_csv's utf-8-sig
-    decoding does.  The first line is skipped under the header rule of
-    _parse_csv.  Without
-    quotes or carriage returns in it, splitting on commas gives the tokens
+    decoding does.  The first line sets the line end, "\n" or "\r\n", and
+    is skipped under the header rule of _parse_csv.  Without quotes or
+    other carriage returns in it, splitting on commas gives the tokens
     csv.reader would, so both parsers skip the same line.  Every remaining
-    row must read "d,d,...,d\n" with d in {0, 1}, which both parsers read
-    as the same values.
+    row must read "d,d,...,d" and that line end, with d in {0, 1}, which
+    both parsers read as the same values; a file of mixed line ends is not
+    strict.
     """
     bom = 3 if raw.startswith(b"\xef\xbb\xbf") else 0  # UTF-8 byte-order mark
     head_end = raw.find(b"\n")
     if head_end < 0:
         return None
+    eol = b"\r\n" if raw[head_end - 1 : head_end] == b"\r" else b"\n"
     try:
-        head = raw[bom:head_end].decode("utf-8")
+        head = raw[bom : head_end + 1 - len(eol)].decode("utf-8")
     except UnicodeDecodeError:
         return None
     if '"' in head or "\r" in head:
         return None
     header = any(tok.strip() not in ("0", "1") for tok in head.split(","))
     start = head_end + 1 if header else bom
-    width = raw.find(b"\n", start) + 1 - start  # two bytes per value
-    if width <= 0 or width % 2 or (len(raw) - start) % width:
+    width = raw.find(b"\n", start) + 1 - start  # two bytes per value, one more for a "\r"
+    items = (width + 1 - len(eol)) // 2
+    if items < 1 or 2 * items - 1 + len(eol) != width or (len(raw) - start) % width:
         return None
     cells = np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(-1, width)
-    values = cells[:, 0::2] - np.uint8(ord("0"))
-    separators = np.full(width // 2, ord(","), dtype=np.uint8)
-    separators[-1] = ord("\n")
-    if (values > 1).any() or (cells[:, 1::2] != separators).any():
+    values = cells[:, : 2 * items : 2] - np.uint8(ord("0"))
+    if (
+        (values > 1).any()
+        or (cells[:, 1 : 2 * items - 1 : 2] != ord(",")).any()
+        or (cells[:, 2 * items - 1 :] != np.frombuffer(eol, dtype=np.uint8)).any()
+    ):
         return None
     return values
 

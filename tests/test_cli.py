@@ -220,6 +220,20 @@ class TestSimulate:
         assert code == 1
         assert "quadrature" in capsys.readouterr().err
 
+    def test_dotted_stems_name_their_own_files(self, tmp_path):
+        args = ["simulate", "--model", "1pl", "--reps", "1", "--n-persons", "200"]
+        for seed in (1, 2):
+            assert main(args + ["--seed", str(seed), "--out", str(tmp_path / f"run.seed{seed}")]) == 0
+        assert main(args + ["--seed", "3", "--out", str(tmp_path / "run.seed3.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"run.seed{seed}.{ext}" for seed in (1, 2, 3) for ext in ("csv", "json")
+        ]
+        for seed in (1, 2, 3):
+            payload = json.loads((tmp_path / f"run.seed{seed}.json").read_text())
+            assert payload["manifest"]["seed"] == seed
+            rows = read_study_csv(tmp_path / f"run.seed{seed}.csv")
+            assert [row["mean_b"] for row in rows] == [row["mean_b"] for row in payload["rows"]]
+
     def test_too_many_nodes_exit_one_without_output(self, tmp_path, capsys):
         code = main(
             ["simulate", "--model", "1pl", "--n-quads", "51", "--reps", "1",

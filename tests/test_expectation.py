@@ -277,15 +277,40 @@ def two_pl_truth(n_items):
 
 
 @pytest.fixture(scope="module")
-def wide_table():
+def wide_data():
     """30 items, 10,000 persons: more than two default blocks of distinct patterns."""
-    truth = two_pl_truth(30)
-    data = tabulate(generate(truth, 10_000, 21))
+    data = tabulate(generate(two_pl_truth(30), 10_000, 21))
     assert data.n_patterns > 2 * expectation.BLOCK_ROWS
-    grid = normal_grid(10)
+    return data
+
+
+def wide_instance(data, n_quads):
+    """The wide table with a perturbed truth's probability matrix on an n_quads grid."""
+    truth = two_pl_truth(30)
+    grid = normal_grid(n_quads)
     a = np.array([p.a for p in truth]) * 0.9
     b = np.array([p.b for p in truth]) + 0.1
     return data, response_prob_matrix(a, b, grid), grid
+
+
+@pytest.fixture(scope="module")
+def wide_table(wide_data):
+    return wide_instance(wide_data, 10)
+
+
+# Node counts on both sides of numpy's pairwise summation, which sums a
+# contiguous run of 8 or more values in another order than a shorter one.
+# T = 10 keeps the case's plain id.
+NODE_COUNTS = (4, 7, 8, 10, 21)
+
+
+def node_count_cases(*ids):
+    """(id value, T) parameters for every id value and node count."""
+    return [
+        pytest.param(value, n_quads, id=f"{value}" if n_quads == 10 else f"{value}-T{n_quads}")
+        for value in ids
+        for n_quads in NODE_COUNTS
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -310,10 +335,10 @@ def fit_repr(result):
 
 
 class TestBlockedEStep:
-    @pytest.mark.parametrize("block_rows", [1, 7, expectation.BLOCK_ROWS])
-    def test_matches_whole_table_formulas(self, wide_table, block_rows, monkeypatch):
+    @pytest.mark.parametrize("block_rows, n_quads", node_count_cases(1, 7, expectation.BLOCK_ROWS))
+    def test_matches_whole_table_formulas(self, wide_data, block_rows, n_quads, monkeypatch):
         monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
-        data, prob, grid = wide_table
+        data, prob, grid = wide_instance(wide_data, n_quads)
         ref_post, ref_ll, ref_n1, ref_nt = reference_estep(data, prob, grid)
         post, ll = posterior(data, prob, grid)
         counts = expected_counts(data, post)
@@ -374,11 +399,23 @@ class TestBlockedEStep:
                 posterior(doomed, prob, grid)
         assert err.value.pattern_index == index
 
-    @pytest.mark.parametrize("fit_fn", [em_ols.fit, em_nr.fit_nr], ids=["ols", "nr"])
-    def test_fits_do_not_depend_on_the_block_size(self, fit_fn, monkeypatch):
+    # OLS stays at T = 6.  Its M-step's log-odds log(N1 / (N_t - N1)) cancel
+    # near the outer nodes and amplify the blocks' ulps: on this table an OLS
+    # fit at T = 10 moves by up to 1e-9 relative between block sizes (1.5e-10
+    # with row-major blocks too), and at T = 21 it raises on NaN estimates at
+    # every block size.  A directly accumulated N0 (ROADMAP item 3) would
+    # remove that.
+    @pytest.mark.parametrize("fit_fn, n_quads", [
+        pytest.param(em_ols.fit, 6, id="ols"),
+        pytest.param(em_nr.fit_nr, 6, id="nr"),
+        pytest.param(em_nr.fit_nr, 10, id="nr-T10"),
+        pytest.param(em_nr.fit_nr, 21, id="nr-T21"),
+    ])
+    def test_fits_do_not_depend_on_the_block_size(self, fit_fn, n_quads, monkeypatch):
+        """A one-block fit runs row-major and a 7-row-block fit node-major."""
         data = tabulate(generate(two_pl_truth(12), 3000, 4))
         assert data.n_patterns > 7
-        cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=6)
+        cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=n_quads)
         whole = fit_fn(data, cfg)
         monkeypatch.setattr(expectation, "BLOCK_ROWS", 7)
         blocked = fit_fn(data, cfg)
@@ -387,6 +424,17 @@ class TestBlockedEStep:
         for got, want in zip(blocked.params, whole.params):
             np.testing.assert_allclose([got.a, got.b], [want.a, want.b], rtol=BLOCK_RTOL)
         np.testing.assert_allclose(blocked.loglik_trace, whole.loglik_trace, rtol=BLOCK_RTOL)
+
+    def test_counts_do_not_depend_on_the_posteriors_layout(self, wide_table):
+        """A multi-block posterior is the transpose of a node-major buffer;
+        a row-major copy of it gives the same counts, bit for bit."""
+        data, prob, grid = wide_table
+        post, _ = posterior(data, prob, grid)
+        assert post.T.flags.c_contiguous
+        copy = np.ascontiguousarray(post)
+        assert copy.flags.c_contiguous and np.array_equal(copy, post)
+        want, got = expected_counts(data, post), expected_counts(data, copy)
+        assert np.array_equal(got.n1, want.n1) and np.array_equal(got.nt, want.nt)
 
 
 def _fit_in_child(data, cfg, conn):
@@ -397,12 +445,12 @@ def _fit_in_child(data, cfg, conn):
 class TestThreadCount:
     """The E-step's blocks give the same bits on the thread pool as inline."""
 
-    @pytest.mark.parametrize("block_rows", [7, expectation.BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows, n_quads", node_count_cases(7, expectation.BLOCK_ROWS))
     def test_estep_is_identical_on_pool_and_inline(
-        self, wide_table, block_rows, helper_thread, monkeypatch
+        self, wide_data, block_rows, n_quads, helper_thread, monkeypatch
     ):
         monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
-        data, prob, grid = wide_table
+        data, prob, grid = wide_instance(wide_data, n_quads)
         results = []
         for pool in (helper_thread, None):
             run_blocks_on(pool, monkeypatch)

@@ -161,6 +161,15 @@ LOADER_INPUTS = {
     "strict_header": b"item1,item2\n1,0\n0,1\n",
     "crlf": b"1,0\r\n0,1\r\n",
     "crlf_header": b"a,b\r\n1,0\r\n",
+    "crlf_bom_header": b"\xef\xbb\xbfa,b\r\n1,0\r\n0,1\r\n",
+    "crlf_bad_token": b"1,0\r\n1,7\r\n",
+    "crlf_no_final_newline": b"1,0\r\n0,1",
+    "crlf_blank_line": b"1,0\r\n\r\n0,1\r\n",
+    "crlf_one_item": b"1\r\n0\r\n",
+    "crlf_then_lf": b"1,0\r\n0,1\n",
+    "lf_then_crlf": b"1,0\n0,1\r\n",
+    "lf_header_crlf_rows": b"a,b\n1,0\r\n0,1\r\n",
+    "carriage_return_in_row": b"1,0\r\n0\r,1\r\n",
     "spaces": b"1, 0\n0 ,1\n",
     "blank_lines": b"1,0\n\n0,1\n\n",
     "ragged_row": b"1,0\n1\n",
@@ -220,11 +229,39 @@ class TestLoaderDifferential:
             load_response_csv(path)
         assert (err.value.row, err.value.col) == (2, 2)
 
-    def test_strict_file_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_strict_file_never_reaches_csv_reader(self, tmp_path, monkeypatch, eol):
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader called on a strict file")
 
         monkeypatch.setattr(csv, "reader", refuse)
         path = tmp_path / "r.csv"
-        path.write_bytes(b"i1,i2,i3\n1,0,1\n0,0,1\n")
+        path.write_bytes(b"i1,i2,i3\n1,0,1\n0,0,1\n".replace(b"\n", eol))
         np.testing.assert_array_equal(load_response_csv(path), [[1, 0, 1], [0, 0, 1]])
+
+    def test_crlf_and_lf_files_give_the_same_matrix(self, tmp_path):
+        """LF and CRLF, with and without a header and a byte-order mark: one
+        matrix, read by the strict parser every time."""
+        matrix = np.random.default_rng(3).integers(0, 2, size=(40, 7), dtype=np.uint8)
+        rows = b"".join(b",".join(b"%d" % v for v in row) + b"\n" for row in matrix)
+        header = b",".join(b"item%d" % j for j in range(7)) + b"\n"
+        for bom in (b"", b"\xef\xbb\xbf"):
+            for head in (b"", header):
+                for eol in (b"\n", b"\r\n"):
+                    raw = bom + (head + rows).replace(b"\n", eol)
+                    path = tmp_path / "r.csv"
+                    path.write_bytes(raw)
+                    np.testing.assert_array_equal(patterns._parse_strict(raw), matrix)
+                    np.testing.assert_array_equal(load_response_csv(path), matrix)
+
+    @pytest.mark.parametrize("head", [b"", b"x,y,z\n"], ids=["bare", "header"])
+    def test_crlf_keeps_error_locations(self, tmp_path, head):
+        raw = head + b"1,0,1\n0,1,1\n1,1,7\n"
+        errors = []
+        for eol in (b"\n", b"\r\n"):
+            path = tmp_path / "r.csv"
+            path.write_bytes(raw.replace(b"\n", eol))
+            with pytest.raises(IngestionError) as err:
+                load_response_csv(path)
+            errors.append((str(err.value), err.value.row, err.value.col))
+        assert errors[0] == errors[1] == (errors[0][0], 3 + bool(head), 3)

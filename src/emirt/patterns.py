@@ -134,8 +134,8 @@ def load_response_csv(path: str | Path, raw: bytes | None = None) -> np.ndarray:
     not 0 or 1.  Accepts LF or CRLF line endings.  A strict file (0/1
     values, bare commas, LF or CRLF line ends throughout, final newline) is
     parsed as one byte array; any other file goes to the csv-module parser,
-    which owns every IngestionError.  raw, when given, is the file's bytes, already
-    read by the caller; path then only names the file in errors.
+    which owns every IngestionError.  raw, when given, is the file's bytes,
+    already read by the caller; path then only names the file in errors.
     """
     if raw is None:
         raw = Path(path).read_bytes()

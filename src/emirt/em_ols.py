@@ -212,13 +212,17 @@ def _run_em(
     lengths; the stacks are compacted as fits leave.  So all fits of small
     tables share one stack, a larger table is a stack of its own, and one
     stack's posterior is held at a time.  The E-step of an iteration is
-    one posterior call and one expected_counts call per stack: they give
-    every fit of it its log-likelihood, or its PosteriorUnderflowError,
-    and its counts.  Their products and sums make one stacked call per
-    run of equally long tables, which computes each fit's slice over that
-    fit's own rows, as a one-fit call does, and the rest of their work is
-    row-local; so every fit is bit-identical to a fit run alone.  An error
-    of a stacked call itself is the outcome of each of its fits.
+    one posterior call and one expected_counts call per stack of at most
+    BLOCK_ROWS rows: they give every fit of it its log-likelihood, or its
+    PosteriorUnderflowError, and its counts.  Their products and sums make
+    one stacked call per run of equally long tables, which computes each
+    fit's slice over that fit's own rows, as a one-fit call does, and the
+    rest of their work is row-local; so every fit is bit-identical to a
+    fit run alone.  A larger table's E-step is one fused_estep call, one
+    pass per block, which gives the same log-likelihood and counts as that
+    pair, bit for bit, and keeps the (P, T) posterior only for the
+    callback; so a fit is the same with or without one.  An error of a
+    stacked call itself is the outcome of each of its fits.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
     degenerate) over the stacked arrays, the last marking items to flag
@@ -269,8 +273,13 @@ def _run_em(
         for stack in stacks:
             start, end = end, end + len(stack.tables)
             try:
-                post, logliks = expectation.posterior(stack, prob[start:end], grid)
-                stack_counts = expectation.expected_counts(stack, post)
+                if stack.operands is None:  # a table over BLOCK_ROWS rows: one pass per block
+                    post, logliks, stack_counts = expectation.fused_estep(
+                        stack, prob[start:end], grid, keep_post=callback is not None
+                    )
+                else:
+                    post, logliks = expectation.posterior(stack, prob[start:end], grid)
+                    stack_counts = expectation.expected_counts(stack, post)
             except Exception as exc:  # an error of a stacked call is the outcome of its fits
                 for i in range(start, end):
                     outcomes[live[i]] = exc

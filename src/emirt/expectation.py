@@ -82,13 +82,14 @@ def response_prob_matrix(a: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> 
 
 
 # Rows of the pattern table per E-step block.  A block of 2048 x 30 float64
-# patterns, its complement and its (2048, T) intermediates stay within a
-# 2 MiB L2 cache; a table of at most BLOCK_ROWS patterns is one block.  A
-# PatternStack of several tables holds at most BLOCK_ROWS rows in all, so
-# it is one block too, and its posterior is no larger than one block's.
-# The blocks of a larger table run node-major, as (T, rows) arrays whose
-# reductions over the nodes run along contiguous rows (_normalise_block);
-# a one-block stack keeps the row-major arithmetic, bit for bit.
+# patterns and its (2048, T) intermediates stay within a 2 MiB L2 cache; a
+# table of at most BLOCK_ROWS patterns is one block.  A PatternStack of
+# several tables holds at most BLOCK_ROWS rows in all, so it is one block
+# too, and its posterior is no larger than one block's.  The blocks of a
+# larger table run through one fused kernel (_estep_block): one product,
+# one exp, and the counts taken while the block is in cache.  A one-block
+# stack keeps the two-product row-major arithmetic, bit for bit, so that
+# every study CSV stays byte-identical until the reference is re-recorded.
 BLOCK_ROWS = 2048
 
 # The caller and _helpers pool threads work through the blocks of a larger
@@ -292,36 +293,19 @@ class PatternStack:
 
 
 def _normalise_block(rows, stack, log_p, log_q, log_w, norm, post) -> None:
-    """Write one row block's log normalisers into norm and, given post, its posterior.
+    """Write a one-block stack's log normalisers into norm and, given post, its posterior.
 
     log_p and log_q are the (R, I, T) logs of the stack's R probability
-    matrices, norm is (rows, 1) and post (rows, T).  A stack of at most
-    BLOCK_ROWS rows is one block.  Each of its runs makes each log-joint
-    product with one stacked matmul into the block's (rows, T) buffers: it
-    makes one product per table, over that table's own rows, as a
-    one-table call does.  The rest is row-local and runs once over all of
-    the block's rows, reducing over the short node axis of each row.
-
-    A longer table builds each block's float rows here and works node-major,
-    on a (T, rows) log joint whose peak and log-sum-exp reduce over its
-    contiguous rows, about ten times faster at T = 10 than over each row's
-    T nodes; its post is the transpose of a (T, P) buffer.  The sums then
-    run over the nodes in order rather than pairwise, so they round
-    differently from a one-block call: single-block stacks keep the
-    row-major arithmetic, and with it every study fit, bit for bit.
+    matrices, norm is (rows, 1) and post (rows, T).  Each of the stack's
+    runs makes each log-joint product with one stacked matmul into the
+    (rows, T) buffers: it makes one product per table, over that table's
+    own rows, as a one-table call does.  The rest is row-local and runs
+    once over all of the rows, reducing over the short node axis of each
+    row.  This keeps the two-product form x log P + (1 - x) log(1 - P):
+    _estep_block's one product rounds differently, and every study CSV
+    must stay byte-identical until the benchmark's reference is
+    re-recorded (ROADMAP item 3).
     """
-    if stack.operands is None:
-        x_b = stack.patterns[rows].astype(np.float64)
-        log_joint = log_p[0].T @ x_b.T
-        log_joint += log_q[0].T @ (1.0 - x_b).T
-        log_joint += log_w[:, None]
-        peak = np.maximum.reduce(log_joint, axis=0)
-        norm_b = norm[rows, 0]
-        np.add(peak, np.log(np.add.reduce(np.exp(log_joint - peak), axis=0)), out=norm_b)
-        if post is not None:
-            log_joint -= norm_b
-            np.exp(log_joint, out=post.T[:, rows])
-        return
     log_joint = np.empty((len(stack.patterns), log_p.shape[-1]))
     # the second product can go into post, which the exp below overwrites
     part = np.empty_like(log_joint) if post is None else post
@@ -339,25 +323,93 @@ def _normalise_block(rows, stack, log_p, log_q, log_w, norm, post) -> None:
         np.exp(log_joint, out=post[rows])
 
 
+def _estep_block(rows, stack, log_odds, base, norm, post, count):
+    """One pass over a row block of a table larger than BLOCK_ROWS.
+
+    log_odds is the table's (I, T) log P - log(1 - P) and base the (T, 1)
+    sum over items of log(1 - P) plus the log weights, so that the block's
+    (T, rows) log joint x log P + (1 - x) log(1 - P) + log A is one product
+    plus base.  The block works node-major: its peak and sums reduce over
+    contiguous rows, about ten times faster at T = 10 than over each row's
+    T nodes.  One in-place exp of the log joint less its peak gives the
+    sums, and norm[rows] = peak + log(sums).  Given post or count, the
+    block is divided by its sums into its posterior, written to the (T, P)
+    buffer behind post when there is one; given count, it is weighted by
+    the frequencies in place, and the block's (1, T) N_t and (1, I, T) N1
+    are returned as _count_block would take them from that posterior.
+    """
+    x_b = stack.patterns[rows].astype(np.float64)
+    block = log_odds.T @ x_b.T
+    block += base
+    peak = np.maximum.reduce(block, axis=0)
+    block -= peak
+    np.exp(block, out=block)
+    sums = np.add.reduce(block, axis=0)
+    np.add(peak, np.log(sums), out=norm[rows, 0])
+    if post is not None or count:
+        block /= sums
+    if post is not None:
+        post.T[:, rows] = block
+    if count:
+        block *= stack.float_freqs[rows]
+        return _node_major_counts(x_b, block)
+
+
+def _node_major_counts(x_b, weighted) -> tuple[np.ndarray, np.ndarray]:
+    """The (1, T) N_t and (1, I, T) N1 of a block's float rows and its C-ordered
+    (T, rows) frequency-weighted posterior."""
+    return np.add.reduce(weighted, axis=1)[None], (x_b.T @ weighted.T)[None]
+
+
+def _blocks_pass(stack, prob, grid, post=None, count=False) -> tuple:
+    """_estep_block over every block of a one-table stack: (norm, counts or None).
+
+    prob is the stack's (1, J, T) probability matrix; norm is (rows, 1),
+    and counts, given count, the (1, J, T) and (1, T) ExpectedCounts.
+    """
+    log_p, log_q = np.log(prob[0]), np.log1p(-prob[0])
+    base = (np.add.reduce(log_q, axis=0) + grid.log_weights)[:, None]
+    norm = np.empty((stack.n_patterns, 1))
+    parts = _map_blocks(_estep_block, stack.n_patterns, stack, log_p - log_q, base, norm, post, count)
+    return norm, _sum_counts(parts) if count else None
+
+
 def _log_normalisers(
     stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid, post: np.ndarray | None = None
 ) -> np.ndarray:
     """log sum_t P(X|theta_t) A_t for every row X of the stack, shape (rows, 1).
 
     prob is the (R, J, T) stack of the tables' probability matrices, whose
-    logs are taken once here.  Works over row blocks of the stack: each
-    block's log joint log P(X|theta_t) + log A_t is reduced with
-    log-sum-exp, and, when a (rows, T) post is given, normalised into its
-    rows of post.
+    logs are taken once here.  Each block's log joint log P(X|theta_t) +
+    log A_t is reduced with log-sum-exp, and, when a (rows, T) post is
+    given, normalised into its rows of post: by _normalise_block for a
+    one-block stack, and by _estep_block for a larger table.
     """
     if prob.shape[1] != stack.n_items:
         raise ValueError(f"expected {stack.n_items} item parameters, got {prob.shape[1]}")
+    if stack.operands is None:
+        return _blocks_pass(stack, prob, grid, post)[0]
     norm = np.empty((stack.n_patterns, 1))
     _map_blocks(
         _normalise_block, stack.n_patterns,
         stack, np.log(prob), np.log1p(-prob), grid.log_weights, norm, post,
     )
     return norm
+
+
+def _logliks(stack: PatternStack, norm: np.ndarray) -> list:
+    """Each fit's log-likelihood f . norm, or its PosteriorUnderflowError: one
+    stacked product per run of equally long tables."""
+    logliks = []
+    for run in stack.runs:
+        norms = norm[run.rows].reshape(run.shape)
+        sums = run.freqs @ norms
+        # norms of clamped probabilities are far from overflow: a sum is finite iff all its terms are
+        logliks += [
+            s if math.isfinite(s) else PosteriorUnderflowError(int(np.argmin(np.isfinite(n))))
+            for s, n in zip(sums[:, 0, 0].tolist(), norms)
+        ]
+    return logliks
 
 
 def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
@@ -380,27 +432,20 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     row-local and runs once over the stack.  So every fit gets the values
     of a call on its table alone, bit for bit.
 
-    A table of more than BLOCK_ROWS patterns is written node-major, block
-    by block, into a (T, P) buffer, and post is that buffer's transpose:
-    the same (P, T) posterior by value, read column-major in memory.
+    A table of more than BLOCK_ROWS patterns runs the kernel of
+    fused_estep, which writes its posterior node-major into a (T, P)
+    buffer: post is that buffer's transpose, the same (P, T) posterior by
+    value, read column-major in memory, and bit-identical to the one
+    fused_estep gives.
     """
     stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
     prob = prob if stack is data else prob[None]
-    if stack.operands is None:  # node-major blocks, see _normalise_block
+    if stack.operands is None:  # written node-major by _estep_block
         post = np.empty((grid.size, stack.n_patterns)).T
     else:
         post = np.empty((stack.n_patterns, grid.size))
-    logliks = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        norm = _log_normalisers(stack, prob, grid, post)
-        for run in stack.runs:
-            norms = norm[run.rows].reshape(run.shape)
-            sums = run.freqs @ norms
-            # norms of clamped probabilities are far from overflow: a sum is finite iff all its terms are
-            logliks += [
-                s if math.isfinite(s) else PosteriorUnderflowError(int(np.argmin(np.isfinite(n))))
-                for s, n in zip(sums[:, 0, 0].tolist(), norms)
-            ]
+        logliks = _logliks(stack, _log_normalisers(stack, prob, grid, post))
     if stack is data:
         return post, logliks
     (loglik,) = logliks
@@ -409,19 +454,34 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     return post, loglik
 
 
+def fused_estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid,
+                keep_post: bool = False) -> tuple:
+    """posterior and expected_counts of a table larger than BLOCK_ROWS, in one pass.
+
+    stack is the one-table stack of such a table and prob its (1, J, T)
+    probability matrix.  Returns (post, logliks, counts): the post and
+    logliks of posterior(stack, prob, grid) and the counts of
+    expected_counts on that post, bit for bit, with post None unless
+    keep_post is true.  Each block runs _estep_block once, converting its
+    float rows once.
+    """
+    post = np.empty((grid.size, stack.n_patterns)).T if keep_post else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm, counts = _blocks_pass(stack, prob, grid, post, count=True)
+        return post, _logliks(stack, norm), counts
+
+
 def _count_block(rows, stack, post) -> tuple[np.ndarray, np.ndarray]:
     """One row block's partial (R, T) N_t and (R, I, T) N1_jt for the stack's R tables.
 
     A one-block stack makes one stacked product per run for each count.  A
     longer table reads its block node-major, as the (T, rows) post.T[:, rows]
-    that posterior wrote: N_t is the row sums of the frequency-weighted
-    block, and N1 its product with the block's float patterns.
+    that posterior wrote, and counts it as _estep_block does.
     """
     if stack.operands is None:
         # a C-ordered product, whatever post's layout, so the sums add in one order
         weighted = np.multiply(post.T[:, rows], stack.float_freqs[rows], order="C")
-        x_b = stack.patterns[rows].astype(np.float64)
-        return np.add.reduce(weighted, axis=1)[None], (x_b.T @ weighted.T)[None]
+        return _node_major_counts(stack.patterns[rows].astype(np.float64), weighted)
     nt = np.empty((len(stack.tables), post.shape[1]))
     n1 = np.empty((len(stack.tables), stack.patterns.shape[1], post.shape[1]))
     for run in stack.runs:
@@ -429,6 +489,15 @@ def _count_block(rows, stack, post) -> tuple[np.ndarray, np.ndarray]:
         nt[run.fits] = (run.freqs @ post_r)[:, 0]
         np.matmul(run.xf_t, post_r, out=n1[run.fits])
     return nt, n1
+
+
+def _sum_counts(parts: Sequence) -> ExpectedCounts:
+    """The first block's (nt, n1) plus each further block's, in block order."""
+    nt, n1 = parts[0]
+    for nt_b, n1_b in parts[1:]:
+        nt += nt_b
+        n1 += n1_b
+    return ExpectedCounts(n1=n1, nt=nt)
 
 
 def expected_counts(data: PatternData | PatternStack, post: np.ndarray) -> ExpectedCounts:
@@ -442,14 +511,10 @@ def expected_counts(data: PatternData | PatternStack, post: np.ndarray) -> Expec
     adds its own, in block order.
     """
     stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
-    parts = _map_blocks(_count_block, stack.n_patterns, stack, post)
-    nt, n1 = parts[0]
-    for nt_b, n1_b in parts[1:]:
-        nt += nt_b
-        n1 += n1_b
+    counts = _sum_counts(_map_blocks(_count_block, stack.n_patterns, stack, post))
     if stack is data:
-        return ExpectedCounts(n1=n1, nt=nt)
-    return ExpectedCounts(n1=n1[0], nt=nt[0])
+        return counts
+    return ExpectedCounts(n1=counts.n1[0], nt=counts.nt[0])
 
 
 def observed_loglik(data: PatternData, prob: np.ndarray, grid: QuadratureGrid) -> float:

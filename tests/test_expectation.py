@@ -437,6 +437,84 @@ class TestBlockedEStep:
         assert np.array_equal(got.n1, want.n1) and np.array_equal(got.nt, want.nt)
 
 
+class TestFusedEStep:
+    """The EM loop's one pass per block for a table over BLOCK_ROWS rows."""
+
+    @pytest.mark.parametrize("block_rows, n_quads", node_count_cases(7, expectation.BLOCK_ROWS))
+    def test_loop_gives_the_posterior_and_counts_pair(self, wide_data, block_rows, n_quads, monkeypatch):
+        """Each of the loop's E-steps gives, bit for bit, the log-likelihood of
+        posterior and the counts of expected_counts on its posterior."""
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+        fused = expectation.fused_estep
+        seen = []
+
+        def recording(stack, prob, grid, keep_post=False):
+            out = fused(stack, prob, grid, keep_post)
+            seen.append((stack, prob, grid, out))
+            return out
+
+        monkeypatch.setattr(expectation, "fused_estep", recording)
+        # both estimators run this loop; OLS raises on NaN estimates at T = 21 (see above)
+        fit_fn = em_ols.fit if n_quads < 14 else em_nr.fit_nr
+        fit_fn(wide_data, FitConfig(model=ModelKind.TWO_PL, n_quads=n_quads, max_iter=2))
+        assert len(seen) == 3
+        for stack, prob, grid, (post, (ll,), counts) in seen:
+            assert post is None
+            want_post, want_ll = posterior(wide_data, prob[0], grid)
+            want = expected_counts(wide_data, want_post)
+            assert ll == want_ll
+            assert np.array_equal(counts.n1[0], want.n1) and np.array_equal(counts.nt[0], want.nt)
+            assert np.array_equal(fused(stack, prob, grid, keep_post=True)[0], want_post)
+
+    @pytest.mark.parametrize("fit_fn", [em_ols.fit, em_nr.fit_nr], ids=["ols", "nr"])
+    def test_a_callback_changes_no_fit(self, wide_table, fit_fn):
+        """The callback's posterior is the pass's own: its rows sum to one, and
+        its counts are expected_counts on it."""
+        data = wide_table[0]
+        assert data.n_patterns > expectation.BLOCK_ROWS
+        cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=6, max_iter=8)
+        seen = []
+
+        def callback(iteration, params, post, counts):
+            assert post.shape == (data.n_patterns, 6)
+            np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=1e-12)
+            want = expected_counts(data, post)
+            assert np.array_equal(counts.n1, want.n1) and np.array_equal(counts.nt, want.nt)
+            seen.append(iteration)
+
+        watched = fit_fn(data, cfg, callback=callback)
+        assert seen == list(range(1, watched.iterations + 1))
+        assert fit_repr(watched) == fit_repr(fit_fn(data, cfg))
+
+    @pytest.mark.parametrize("block_rows, index", [(7, 17), (expectation.BLOCK_ROWS, 4101)])
+    def test_underflow_in_a_fit_reports_the_global_pattern_index(
+        self, wide_table, block_rows, index, helper_thread, monkeypatch
+    ):
+        """A pattern in the third block whose normaliser is not finite at the start.
+
+        The fit starts at a = 1, b = 0, where log P - log(1 - P) is the node
+        itself, so 1e308 times it overflows at the outer nodes.  The loop's
+        own pass raises: posterior is never called.
+        """
+        assert index // block_rows == 2
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+        run_blocks_on(helper_thread, monkeypatch)
+        data = wide_table[0]
+        x = data.patterns.astype(np.float64)
+        x[index, 0] = 1e308
+        doomed = PatternData(patterns=x, freqs=data.freqs)
+
+        def no_posterior(*args):
+            raise AssertionError("the loop called posterior")
+
+        monkeypatch.setattr(expectation, "posterior", no_posterior)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PosteriorUnderflowError) as err, np.errstate(over="ignore"):
+                em_ols.fit(doomed, FitConfig(model=ModelKind.TWO_PL, n_quads=10))
+        assert err.value.pattern_index == index
+
+
 def _fit_in_child(data, cfg, conn):
     conn.send(fit_repr(em_ols.fit(data, cfg)))
     conn.close()
@@ -526,12 +604,19 @@ class TestThreadCount:
     def test_only_block_kernels_run_on_pool_threads(self, wide_table, monkeypatch):
         """No traced or counted emirt function runs off the calling thread.
 
-        In each E-step call the caller's blocks wait until the helper has
-        taken a block, so the helper runs every block kernel.
+        In each multi-block call the caller's blocks wait until the helper
+        has taken a block, so the helper runs every block kernel: those of
+        posterior, expected_counts and observed_loglik, and the fused pass
+        of one fit iteration's two E-steps.
         """
         data, prob, grid = wide_table
         caller = threading.get_ident()
         helper_took_a_block = threading.Event()
+        map_blocks = expectation._map_blocks
+
+        def clearing(*args):
+            helper_took_a_block.clear()
+            return map_blocks(*args)
 
         def waiting_for_the_helper(kernel):
             def block(rows, *args):
@@ -543,8 +628,17 @@ class TestThreadCount:
 
             return block
 
-        for name in ("_normalise_block", "_count_block"):
+        monkeypatch.setattr(expectation, "_map_blocks", clearing)
+        for name in ("_estep_block", "_count_block"):
             monkeypatch.setattr(expectation, name, waiting_for_the_helper(getattr(expectation, name)))
+        fused_calls = []
+        fused = expectation.fused_estep
+
+        def counted(*args, **kwargs):
+            fused_calls.append(args)
+            return fused(*args, **kwargs)
+
+        monkeypatch.setattr(expectation, "fused_estep", counted)
         called = set()
 
         def profile(frame, event, arg):
@@ -556,13 +650,13 @@ class TestThreadCount:
             with ThreadPoolExecutor(1) as pool:  # its thread starts under the profiler
                 run_blocks_on(pool, monkeypatch)
                 post, _ = posterior(data, prob, grid)
-                helper_took_a_block.clear()
                 expected_counts(data, post)
-                helper_took_a_block.clear()
                 observed_loglik(data, prob, grid)
+                em_ols.fit(data, FitConfig(model=ModelKind.TWO_PL, n_quads=grid.size, max_iter=1))
         finally:
             threading.setprofile(None)
-        assert called == {"work_through_blocks", "_normalise_block", "_count_block"}
+        assert len(fused_calls) == 2
+        assert called == {"work_through_blocks", "_estep_block", "_count_block", "_node_major_counts"}
 
     def test_forked_child_does_not_reuse_the_pool(self, wide_table, helper_thread, monkeypatch):
         """A multi-block fit in the parent, then the same fit in a forked child."""

@@ -243,10 +243,10 @@ def cmd_fit(args) -> int:
 def _resolve_truth(args, model: ModelKind) -> tuple[ItemParams, ...]:
     true_b = (
         _parse_float_list(args.true_b)
-        if args.true_b
+        if args.true_b is not None
         else list(simgen.DEFAULT_TRUE_B)
     )
-    if args.true_a:
+    if args.true_a is not None:
         true_a = _parse_float_list(args.true_a)
     elif model is ModelKind.ONE_PL:
         true_a = [1.0] * len(true_b)
@@ -341,7 +341,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_quadstudy(args) -> int:
-    quads = tuple(_parse_int_list(args.quads)) if args.quads else simgen.DEFAULT_QUAD_SWEEP
+    quads = simgen.DEFAULT_QUAD_SWEEP if args.quads is None else tuple(_parse_int_list(args.quads))
     return _run_study(args, "quadstudy", quads)
 
 

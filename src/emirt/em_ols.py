@@ -212,17 +212,12 @@ def _run_em(
     lengths; the stacks are compacted as fits leave.  So all fits of small
     tables share one stack, a larger table is a stack of its own, and one
     stack's posterior is held at a time.  The E-step of an iteration is
-    one posterior call and one expected_counts call per stack of at most
-    BLOCK_ROWS rows: they give every fit of it its log-likelihood, or its
-    PosteriorUnderflowError, and its counts.  Their products and sums make
-    one stacked call per run of equally long tables, which computes each
-    fit's slice over that fit's own rows, as a one-fit call does, and the
-    rest of their work is row-local; so every fit is bit-identical to a
-    fit run alone.  A larger table's E-step is one fused_estep call, one
-    pass per block, which gives the same log-likelihood and counts as that
-    pair, bit for bit, and keeps the (P, T) posterior only for the
-    callback; so a fit is the same with or without one.  An error of a
-    stacked call itself is the outcome of each of its fits.
+    one expectation.estep call per stack: it gives every fit of the stack
+    its log-likelihood, or its PosteriorUnderflowError, and its counts,
+    each bit-identical to those of the fit run alone, and keeps a larger
+    table's (P, T) posterior only for the callback; so a fit is the same
+    with or without one.  An error of a stacked call itself is the outcome
+    of each of its fits.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
     degenerate) over the stacked arrays, the last marking items to flag
@@ -273,13 +268,9 @@ def _run_em(
         for stack in stacks:
             start, end = end, end + len(stack.tables)
             try:
-                if stack.operands is None:  # a table over BLOCK_ROWS rows: one pass per block
-                    post, logliks, stack_counts = expectation.fused_estep(
-                        stack, prob[start:end], grid, keep_post=callback is not None
-                    )
-                else:
-                    post, logliks = expectation.posterior(stack, prob[start:end], grid)
-                    stack_counts = expectation.expected_counts(stack, post)
+                post, logliks, stack_counts = expectation.estep(
+                    stack, prob[start:end], grid, keep_post=callback is not None
+                )
             except Exception as exc:  # an error of a stacked call is the outcome of its fits
                 for i in range(start, end):
                     outcomes[live[i]] = exc
@@ -317,10 +308,7 @@ def _run_em(
         if len(gone) == len(live):
             break
         if gone:
-            live, stacks, a, b, flagged, n1, nt = _compact(
-                gone, live, stacks, a, b, flagged, counts.n1, counts.nt
-            )
-            counts = ExpectedCounts(n1=n1, nt=nt)
+            live, stacks, counts, a, b, flagged = _compact(gone, live, stacks, counts, a, b, flagged)
         iteration += 1
 
         try:
@@ -339,10 +327,7 @@ def _run_em(
                     gone.append(i)
             if len(gone) == len(live):
                 break
-            live, stacks, a, b, flagged, n1, nt = _compact(
-                gone, live, stacks, a, b, flagged, counts.n1, counts.nt
-            )
-            counts = ExpectedCounts(n1=n1, nt=nt)
+            live, stacks, counts, a, b, flagged = _compact(gone, live, stacks, counts, a, b, flagged)
             new_a, new_b, degenerate, deltas = _checked_mstep(mstep, a, b, counts)
         flagged |= degenerate
 
@@ -373,9 +358,11 @@ def _checked_mstep(mstep, a, b, counts) -> tuple:
 
 
 def _compact(
-    gone: list[int], live: list[int], stacks: list[expectation.PatternStack], *arrays: np.ndarray
+    gone: list[int], live: list[int], stacks: list[expectation.PatternStack],
+    counts: ExpectedCounts, *arrays: np.ndarray,
 ) -> list:
-    """live, the stacks and the rows of each stacked array, without the positions in gone."""
+    """live, the stacks, the counts and the rows of each stacked array, without
+    the positions in gone."""
     keep = np.ones(len(live), dtype=bool)
     keep[gone] = False
     live = [r for r, k in zip(live, keep.tolist()) if k]
@@ -383,7 +370,8 @@ def _compact(
     stacks = [
         stack.select(k) for stack, k in zip(stacks, np.split(keep, ends[:-1])) if k.any()
     ]
-    return [live, stacks, *(x[keep] for x in arrays)]
+    counts = ExpectedCounts(n1=counts.n1[keep], nt=counts.nt[keep])
+    return [live, stacks, counts, *(x[keep] for x in arrays)]
 
 
 def _one_fit(outcomes: list[FitResult | Exception]) -> FitResult:

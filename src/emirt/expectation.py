@@ -135,16 +135,14 @@ def _usable_cores() -> int:
 def _map_blocks(block, n_rows: int, *args) -> Sequence:
     """[block(rows, *args) for every row block of an n_rows table], in block order.
 
-    A table of one block runs inline.  The blocks of a larger one are
-    handed out in order, one at a time, to the caller and up to _helpers
-    pool threads, each helper running under a copy of the caller's context
-    so that numpy's error state covers its blocks.  Blocks write disjoint
-    rows and the results are kept in block order, so every result is the
-    same at any thread count.
+    The blocks of a table over BLOCK_ROWS rows are handed out in order, one
+    at a time, to the caller and up to _helpers pool threads, each helper
+    running under a copy of the caller's context so that numpy's error
+    state covers its blocks.  Blocks write disjoint rows and the results
+    are kept in block order, so every result is the same at any thread
+    count.
     """
     global _helpers, _pool
-    if n_rows <= BLOCK_ROWS:
-        return (block(slice(0, n_rows), *args),)
     starts = range(0, n_rows, BLOCK_ROWS)
     results = [None] * len(starts)
     todo = enumerate(starts)
@@ -292,19 +290,19 @@ class PatternStack:
         return PatternStack(tables, self.patterns[rows], self.float_freqs[rows])
 
 
-def _normalise_block(rows, stack, log_p, log_q, log_w, norm, post) -> None:
-    """Write a one-block stack's log normalisers into norm and, given post, its posterior.
+def _normalise_stack(stack, log_p, log_q, log_w, post) -> np.ndarray:
+    """A one-block stack's (rows, 1) log normalisers; given post, its posterior too.
 
     log_p and log_q are the (R, I, T) logs of the stack's R probability
-    matrices, norm is (rows, 1) and post (rows, T).  Each of the stack's
-    runs makes each log-joint product with one stacked matmul into the
-    (rows, T) buffers: it makes one product per table, over that table's
-    own rows, as a one-table call does.  The rest is row-local and runs
-    once over all of the rows, reducing over the short node axis of each
-    row.  This keeps the two-product form x log P + (1 - x) log(1 - P):
-    _estep_block's one product rounds differently, and every study CSV
-    must stay byte-identical until the benchmark's reference is
-    re-recorded (ROADMAP item 3).
+    matrices, and post is (rows, T).  Each of the stack's runs makes each
+    log-joint product with one stacked matmul into the (rows, T) buffers:
+    it makes one product per table, over that table's own rows, as a
+    one-table call does.  The rest is row-local and runs once over all of
+    the rows, reducing over the short node axis of each row.  This keeps
+    the two-product form x log P + (1 - x) log(1 - P): _estep_block's one
+    product rounds differently, and every study CSV must stay
+    byte-identical until the benchmark's reference is re-recorded
+    (ROADMAP item 3).
     """
     log_joint = np.empty((len(stack.patterns), log_p.shape[-1]))
     # the second product can go into post, which the exp below overwrites
@@ -315,12 +313,11 @@ def _normalise_block(rows, stack, log_p, log_q, log_w, norm, post) -> None:
     log_joint += part
     log_joint += log_w
     peak = np.maximum.reduce(log_joint, axis=-1, keepdims=True)
-    norm_b = norm[rows]
-    np.add(peak, np.log(np.add.reduce(np.exp(log_joint - peak), axis=-1, keepdims=True)),
-           out=norm_b)
+    norm = peak + np.log(np.add.reduce(np.exp(log_joint - peak), axis=-1, keepdims=True))
     if post is not None:
-        log_joint -= norm_b
-        np.exp(log_joint, out=post[rows])
+        log_joint -= norm
+        np.exp(log_joint, out=post)
+    return norm
 
 
 def _estep_block(rows, stack, log_odds, base, norm, post, count):
@@ -336,7 +333,7 @@ def _estep_block(rows, stack, log_odds, base, norm, post, count):
     block is divided by its sums into its posterior, written to the (T, P)
     buffer behind post when there is one; given count, it is weighted by
     the frequencies in place, and the block's (1, T) N_t and (1, I, T) N1
-    are returned as _count_block would take them from that posterior.
+    are returned as _count_block takes them from that posterior.
     """
     x_b = stack.patterns[rows].astype(np.float64)
     block = log_odds.T @ x_b.T
@@ -382,19 +379,14 @@ def _log_normalisers(
     prob is the (R, J, T) stack of the tables' probability matrices, whose
     logs are taken once here.  Each block's log joint log P(X|theta_t) +
     log A_t is reduced with log-sum-exp, and, when a (rows, T) post is
-    given, normalised into its rows of post: by _normalise_block for a
+    given, normalised into its rows of post: by _normalise_stack for a
     one-block stack, and by _estep_block for a larger table.
     """
     if prob.shape[1] != stack.n_items:
         raise ValueError(f"expected {stack.n_items} item parameters, got {prob.shape[1]}")
     if stack.operands is None:
         return _blocks_pass(stack, prob, grid, post)[0]
-    norm = np.empty((stack.n_patterns, 1))
-    _map_blocks(
-        _normalise_block, stack.n_patterns,
-        stack, np.log(prob), np.log1p(-prob), grid.log_weights, norm, post,
-    )
-    return norm
+    return _normalise_stack(stack, np.log(prob), np.log1p(-prob), grid.log_weights, post)
 
 
 def _logliks(stack: PatternStack, norm: np.ndarray) -> list:
@@ -432,11 +424,10 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     row-local and runs once over the stack.  So every fit gets the values
     of a call on its table alone, bit for bit.
 
-    A table of more than BLOCK_ROWS patterns runs the kernel of
-    fused_estep, which writes its posterior node-major into a (T, P)
-    buffer: post is that buffer's transpose, the same (P, T) posterior by
-    value, read column-major in memory, and bit-identical to the one
-    fused_estep gives.
+    A table of more than BLOCK_ROWS patterns runs the blocked kernel of
+    estep, which writes its posterior node-major into a (T, P) buffer:
+    post is that buffer's transpose, the same (P, T) posterior by value,
+    read column-major in memory, and bit-identical to the one estep gives.
     """
     stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
     prob = prob if stack is data else prob[None]
@@ -454,17 +445,21 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     return post, loglik
 
 
-def fused_estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid,
-                keep_post: bool = False) -> tuple:
-    """posterior and expected_counts of a table larger than BLOCK_ROWS, in one pass.
+def estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid,
+          keep_post: bool = False) -> tuple:
+    """One E-step of a stack: the posterior, each fit's log-likelihood and the counts.
 
-    stack is the one-table stack of such a table and prob its (1, J, T)
-    probability matrix.  Returns (post, logliks, counts): the post and
-    logliks of posterior(stack, prob, grid) and the counts of
-    expected_counts on that post, bit for bit, with post None unless
-    keep_post is true.  Each block runs _estep_block once, converting its
-    float rows once.
+    prob is the (R, J, T) stack of the R tables' probability matrices.
+    Returns (post, logliks, counts): the post and logliks of
+    posterior(stack, prob, grid) and the counts of expected_counts on that
+    post, bit for bit.  A one-block stack makes those two calls, and its
+    post is always returned.  A table larger than BLOCK_ROWS makes one
+    pass per block, each block running _estep_block once and converting
+    its float rows once, and its post is None unless keep_post is true.
     """
+    if stack.operands is not None:
+        post, logliks = posterior(stack, prob, grid)
+        return post, logliks, expected_counts(stack, post)
     post = np.empty((grid.size, stack.n_patterns)).T if keep_post else None
     with np.errstate(divide="ignore", invalid="ignore"):
         norm, counts = _blocks_pass(stack, prob, grid, post, count=True)
@@ -472,23 +467,25 @@ def fused_estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid,
 
 
 def _count_block(rows, stack, post) -> tuple[np.ndarray, np.ndarray]:
-    """One row block's partial (R, T) N_t and (R, I, T) N1_jt for the stack's R tables.
+    """One row block's partial (1, T) N_t and (1, I, T) N1_jt for a table over BLOCK_ROWS rows.
 
-    A one-block stack makes one stacked product per run for each count.  A
-    longer table reads its block node-major, as the (T, rows) post.T[:, rows]
-    that posterior wrote, and counts it as _estep_block does.
+    The block is read node-major, as the (T, rows) post.T[:, rows] that
+    posterior wrote, and counted as _estep_block does.
     """
-    if stack.operands is None:
-        # a C-ordered product, whatever post's layout, so the sums add in one order
-        weighted = np.multiply(post.T[:, rows], stack.float_freqs[rows], order="C")
-        return _node_major_counts(stack.patterns[rows].astype(np.float64), weighted)
+    # a C-ordered product, whatever post's layout, so the sums add in one order
+    weighted = np.multiply(post.T[:, rows], stack.float_freqs[rows], order="C")
+    return _node_major_counts(stack.patterns[rows].astype(np.float64), weighted)
+
+
+def _count_stack(stack, post) -> ExpectedCounts:
+    """A one-block stack's (R, I, T) N1_jt and (R, T) N_t: one stacked product per run for each."""
     nt = np.empty((len(stack.tables), post.shape[1]))
     n1 = np.empty((len(stack.tables), stack.patterns.shape[1], post.shape[1]))
     for run in stack.runs:
         post_r = post[run.rows].reshape(run.shape)
         nt[run.fits] = (run.freqs @ post_r)[:, 0]
         np.matmul(run.xf_t, post_r, out=n1[run.fits])
-    return nt, n1
+    return ExpectedCounts(n1=n1, nt=nt)
 
 
 def _sum_counts(parts: Sequence) -> ExpectedCounts:
@@ -507,11 +504,14 @@ def expected_counts(data: PatternData | PatternStack, post: np.ndarray) -> Expec
     PatternStack of R tables and its (rows, T) posterior give (R, J, T)
     and (R, T), each fit's slice that of a call on its table alone, bit
     for bit: each count is one stacked product per run of equally long
-    tables.  The first row block gives the counts, and each further block
-    adds its own, in block order.
+    tables.  For a table over BLOCK_ROWS rows the first row block gives
+    the counts, and each further block adds its own, in block order.
     """
     stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
-    counts = _sum_counts(_map_blocks(_count_block, stack.n_patterns, stack, post))
+    if stack.operands is None:
+        counts = _sum_counts(_map_blocks(_count_block, stack.n_patterns, stack, post))
+    else:
+        counts = _count_stack(stack, post)
     if stack is data:
         return counts
     return ExpectedCounts(n1=counts.n1[0], nt=counts.nt[0])

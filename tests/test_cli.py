@@ -264,6 +264,21 @@ class TestQuadstudy:
         assert "error: expected integers, got" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, error", [
+        ("--quads", "t_list must be nonempty"),
+        ("--true-a", "--true-a has 0 values but --true-b has 5"),
+        ("--true-b", "--true-a has 5 values but --true-b has 0"),
+    ])
+    def test_an_empty_list_exits_one_without_output(self, tmp_path, capsys, flag, error):
+        """An empty list is an error, not a request for the default."""
+        code = main(
+            ["quadstudy", "--model", "2pl", flag, "", "--reps", "1", "--n-persons", "200",
+             "--out", str(tmp_path / "out" / "s")]
+        )
+        assert code == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_node_count_exits_one_without_output(self, tmp_path, capsys):
         code = main(
             ["quadstudy", "--model", "2pl", "--quads", "4,4", "--reps", "3",

@@ -437,34 +437,47 @@ class TestBlockedEStep:
         assert np.array_equal(got.n1, want.n1) and np.array_equal(got.nt, want.nt)
 
 
-class TestFusedEStep:
-    """The EM loop's one pass per block for a table over BLOCK_ROWS rows."""
+class TestEStep:
+    """The EM loop's one E-step call per stack, whichever kernel the stack runs."""
 
-    @pytest.mark.parametrize("block_rows, n_quads", node_count_cases(7, expectation.BLOCK_ROWS))
+    @pytest.mark.parametrize("block_rows, n_quads", node_count_cases(7, expectation.BLOCK_ROWS, "stack"))
     def test_loop_gives_the_posterior_and_counts_pair(self, wide_data, block_rows, n_quads, monkeypatch):
-        """Each of the loop's E-steps gives, bit for bit, the log-likelihood of
-        posterior and the counts of expected_counts on its posterior."""
-        monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
-        fused = expectation.fused_estep
+        """Each of the loop's E-steps gives, bit for bit, the log-likelihoods of
+        posterior and the counts of expected_counts on its posterior.
+
+        The wide table spans blocks of block_rows rows; "stack" is one
+        one-block stack of three tables of different lengths.
+        """
+        if block_rows == "stack":
+            tables = [tabulate(generate(two_pl_truth(30), n, seed)) for seed, n in enumerate((40, 90, 200))]
+            assert len({data.n_patterns for data in tables}) == 3
+        else:
+            monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+            tables = [wide_data]
+        estep = expectation.estep
         seen = []
 
         def recording(stack, prob, grid, keep_post=False):
-            out = fused(stack, prob, grid, keep_post)
+            out = estep(stack, prob, grid, keep_post)
             seen.append((stack, prob, grid, out))
             return out
 
-        monkeypatch.setattr(expectation, "fused_estep", recording)
+        monkeypatch.setattr(expectation, "estep", recording)
         # both estimators run this loop; OLS raises on NaN estimates at T = 21 (see above)
-        fit_fn = em_ols.fit if n_quads < 14 else em_nr.fit_nr
-        fit_fn(wide_data, FitConfig(model=ModelKind.TWO_PL, n_quads=n_quads, max_iter=2))
+        lockstep = em_ols.fit_lockstep if n_quads < 14 else em_nr.fit_nr_lockstep
+        lockstep(tables, FitConfig(model=ModelKind.TWO_PL, n_quads=n_quads, max_iter=2))
         assert len(seen) == 3
-        for stack, prob, grid, (post, (ll,), counts) in seen:
-            assert post is None
-            want_post, want_ll = posterior(wide_data, prob[0], grid)
-            want = expected_counts(wide_data, want_post)
-            assert ll == want_ll
-            assert np.array_equal(counts.n1[0], want.n1) and np.array_equal(counts.nt[0], want.nt)
-            assert np.array_equal(fused(stack, prob, grid, keep_post=True)[0], want_post)
+        for stack, prob, grid, (post, logliks, counts) in seen:
+            assert len(stack.tables) == len(tables)
+            want_post, want_logliks = posterior(stack, prob, grid)
+            want = expected_counts(stack, want_post)
+            assert logliks == want_logliks
+            assert np.array_equal(counts.n1, want.n1) and np.array_equal(counts.nt, want.nt)
+            if block_rows == "stack":
+                assert np.array_equal(post, want_post)
+            else:
+                assert post is None
+                assert np.array_equal(estep(stack, prob, grid, keep_post=True)[0], want_post)
 
     @pytest.mark.parametrize("fit_fn", [em_ols.fit, em_nr.fit_nr], ids=["ols", "nr"])
     def test_a_callback_changes_no_fit(self, wide_table, fit_fn):
@@ -606,7 +619,7 @@ class TestThreadCount:
 
         In each multi-block call the caller's blocks wait until the helper
         has taken a block, so the helper runs every block kernel: those of
-        posterior, expected_counts and observed_loglik, and the fused pass
+        posterior, expected_counts and observed_loglik, and the blocked pass
         of one fit iteration's two E-steps.
         """
         data, prob, grid = wide_table
@@ -631,14 +644,14 @@ class TestThreadCount:
         monkeypatch.setattr(expectation, "_map_blocks", clearing)
         for name in ("_estep_block", "_count_block"):
             monkeypatch.setattr(expectation, name, waiting_for_the_helper(getattr(expectation, name)))
-        fused_calls = []
-        fused = expectation.fused_estep
+        estep_calls = []
+        estep = expectation.estep
 
         def counted(*args, **kwargs):
-            fused_calls.append(args)
-            return fused(*args, **kwargs)
+            estep_calls.append(args)
+            return estep(*args, **kwargs)
 
-        monkeypatch.setattr(expectation, "fused_estep", counted)
+        monkeypatch.setattr(expectation, "estep", counted)
         called = set()
 
         def profile(frame, event, arg):
@@ -655,7 +668,7 @@ class TestThreadCount:
                 em_ols.fit(data, FitConfig(model=ModelKind.TWO_PL, n_quads=grid.size, max_iter=1))
         finally:
             threading.setprofile(None)
-        assert len(fused_calls) == 2
+        assert len(estep_calls) == 2
         assert called == {"work_through_blocks", "_estep_block", "_count_block", "_node_major_counts"}
 
     def test_forked_child_does_not_reuse_the_pool(self, wide_table, helper_thread, monkeypatch):

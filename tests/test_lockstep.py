@@ -174,6 +174,29 @@ def test_one_stacked_estep_per_iteration(tables, estimator, monkeypatch):
                 assert same_tables(stack.tables, sorted(live, key=lambda data: data.n_patterns))
 
 
+@pytest.mark.parametrize("model", [ModelKind.ONE_PL, ModelKind.TWO_PL], ids=["1pl", "2pl"])
+@pytest.mark.parametrize("estimator", sorted(ENGINES))
+def test_one_block_stacks_never_map_blocks(tables, estimator, model, monkeypatch):
+    """Study-size tables of several lengths run every E-step with no block plumbing.
+
+    _map_blocks serves only tables over BLOCK_ROWS rows: with it raising,
+    the lockstep fits of one one-block stack still complete, unchanged.
+    """
+    _, lockstep = ENGINES[estimator]
+    batch = [*tables[model], tabulate(generate(TRUTH[model], 5000, 7))]
+    assert len({data.n_patterns for data in batch}) > 2
+    cfg = FitConfig(model=model, n_quads=10, max_iter=100)
+    want = lockstep(batch, cfg)
+
+    def no_blocks(*args):
+        raise AssertionError("a one-block stack reached _map_blocks")
+
+    monkeypatch.setattr(expectation, "_map_blocks", no_blocks)
+    got = lockstep(batch, cfg)
+    assert all(isinstance(o, FitResult) for o in got)
+    assert [outcome_repr(o) for o in got] == [outcome_repr(o) for o in want]
+
+
 @pytest.mark.parametrize("estimator", sorted(ENGINES))
 def test_stacks_hold_at_most_block_rows(estimator, monkeypatch):
     """Fits whose tables stack past BLOCK_ROWS rows are split over several E-step calls.

@@ -7,7 +7,7 @@ from .em_ols import FitConfig, FitResult, fit
 from .model import ItemParams, ModelKind, irf, irf_grad
 from .patterns import PatternData, load_response_csv, tabulate
 from .quadrature import QuadratureGrid, normal_grid
-from .simgen import StudyDesign, StudySummary, generate, quad_study, replicate_study
+from .simgen import StudyDesign, StudySummary, generate, replicate_study
 
 __all__ = [
     "__version__",
@@ -26,7 +26,6 @@ __all__ = [
     "irf_grad",
     "load_response_csv",
     "normal_grid",
-    "quad_study",
     "replicate_study",
     "tabulate",
 ]

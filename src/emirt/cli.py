@@ -86,8 +86,12 @@ def _fmt(value: float) -> str:
 
 
 def _parse_float_list(text: str) -> list[float]:
+    """The numbers of a comma-separated list; "" is the empty list, and an
+    empty item anywhere else is an error."""
+    if not text:
+        return []
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
 
@@ -206,15 +210,10 @@ def cmd_fit(args) -> int:
             payload.update(block)
         else:
             payload["fits"] = {b["estimator"]: b for b in blocks}
-            a_gap = max(
-                abs(ia["a"] - ib["a"])
-                for ia, ib in zip(blocks[0]["items"], blocks[1]["items"])
-            )
-            b_gap = max(
-                abs(ia["b"] - ib["b"])
-                for ia, ib in zip(blocks[0]["items"], blocks[1]["items"])
-            )
-            payload["disagreement"] = {"max_abs_a": a_gap, "max_abs_b": b_gap}
+            pairs = list(zip(blocks[0]["items"], blocks[1]["items"]))
+            payload["disagreement"] = {
+                f"max_abs_{k}": max(abs(ia[k] - ib[k]) for ia, ib in pairs) for k in ("a", "b")
+            }
         out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     else:
         manifest_path = Path(str(out_path) + ".manifest.json")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expectation
-from .em_ols import FitConfig, FitResult, IterationCallback, _one_fit, _run_em
+from .em_ols import FitConfig, FitResult, _one_fit, _run_em
 from .expectation import ExpectedCounts
 from .model import ItemParams, ModelKind
 from .patterns import PatternData
@@ -160,18 +160,14 @@ def _make_nr_mstep(grid: QuadratureGrid, model: ModelKind):
     return mstep
 
 
-def fit_nr(
-    data: PatternData, cfg: FitConfig, callback: IterationCallback | None = None
-) -> FitResult:
+def fit_nr(data: PatternData, cfg: FitConfig) -> FitResult:
     """EM fit with the Newton-Raphson M-step.
 
     Because each M-step cannot decrease the expected log-likelihood, the
     observed log-likelihood trace must be non-decreasing (slack 1e-8); a
     violation means the step-halving safeguard failed and raises.
     """
-    return _one_fit(
-        _run_em([data], cfg, _make_nr_mstep, MonotonicityViolationError, callback=callback)
-    )
+    return _one_fit(_run_em([data], cfg, _make_nr_mstep, MonotonicityViolationError))
 
 
 def fit_nr_lockstep(datas: Sequence[PatternData], cfg: FitConfig) -> list[FitResult | Exception]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,12 +43,6 @@ def log_odds_cap(grid: QuadratureGrid) -> float:
 B_CAP = 1e3
 
 DEGENERATE_SLOPE = "degenerate_slope"
-
-# Iteration callback: (iteration, params, posterior, counts) -> None, called
-# for each fit.  The EM core works on (a, b) arrays and builds the ItemParams
-# list only for it.
-IterationCallback = Callable[[int, list[ItemParams], np.ndarray, ExpectedCounts], None]
-
 
 class DegenerateNodeError(ValueError):
     """A quadrature node received zero expected mass."""
@@ -199,7 +193,6 @@ def _run_em(
     cfg: FitConfig,
     make_mstep,
     ascent_error: type[Exception] | None,
-    callback: IterationCallback | None = None,
 ) -> list[FitResult | Exception]:
     """EM loop shared by the OLS and Newton-Raphson M-steps, over R fits in lockstep.
 
@@ -210,14 +203,12 @@ def _run_em(
     table length, and PatternStack.split puts neighbouring fits into
     stacks of at most BLOCK_ROWS rows in all, once, whatever their tables'
     lengths; the stacks are compacted as fits leave.  So all fits of small
-    tables share one stack, a larger table is a stack of its own, and one
-    stack's posterior is held at a time.  The E-step of an iteration is
-    one expectation.estep call per stack: it gives every fit of the stack
-    its log-likelihood, or its PosteriorUnderflowError, and its counts,
-    each bit-identical to those of the fit run alone, and keeps a larger
-    table's (P, T) posterior only for the callback; so a fit is the same
-    with or without one.  An error of a stacked call itself is the outcome
-    of each of its fits.
+    tables share one stack and a larger table is a stack of its own.  The
+    E-step of an iteration is one expectation.estep call per stack: it
+    gives every fit of the stack its log-likelihood, or its
+    PosteriorUnderflowError, and its counts, each bit-identical to those of
+    the fit run alone.  An error of a stacked call itself is the outcome of
+    each of its fits.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
     degenerate) over the stacked arrays, the last marking items to flag
@@ -232,8 +223,7 @@ def _run_em(
     Each fit keeps its own iteration count, traces, flags and
     loglik_decreases, and leaves the lockstep when it converges, reaches
     cfg.max_iter or raises; the remaining fits are compacted and go on
-    unaffected.  callback, if given, is called for each fit before each of
-    its M-steps.  Returns, per table, its FitResult or the exception its
+    unaffected.  Returns, per table, its FitResult or the exception its
     fit raised.
     """
     grid = normal_grid(cfg.resolved_quads)
@@ -268,9 +258,7 @@ def _run_em(
         for stack in stacks:
             start, end = end, end + len(stack.tables)
             try:
-                post, logliks, stack_counts = expectation.estep(
-                    stack, prob[start:end], grid, keep_post=callback is not None
-                )
+                logliks, stack_counts = expectation.estep(stack, prob[start:end], grid)
             except Exception as exc:  # an error of a stacked call is the outcome of its fits
                 for i in range(start, end):
                     outcomes[live[i]] = exc
@@ -300,11 +288,6 @@ def _run_em(
                     fit.iterations = iteration
                     fit.converged = converged[i]
                     gone.append(i)
-                elif callback is not None:
-                    k = i - start
-                    callback(iteration + 1, _item_params(a[i], b[i]), post[stack.rows_of(k)],
-                             ExpectedCounts(n1=stack_counts.n1[k], nt=stack_counts.nt[k]))
-            del post  # one stack's posterior at a time
         if len(gone) == len(live):
             break
         if gone:
@@ -394,9 +377,7 @@ def _make_ols_mstep(grid: QuadratureGrid, model: ModelKind):
     return mstep
 
 
-def fit(
-    data: PatternData, cfg: FitConfig, callback: IterationCallback | None = None
-) -> FitResult:
+def fit(data: PatternData, cfg: FitConfig) -> FitResult:
     """Estimate item parameters by EM with the OLS M-step.
 
     Stops when the largest absolute change over all item parameters drops
@@ -405,7 +386,7 @@ def fit(
     parameter set; decreases are counted but not treated as failures since
     the plug-in M-step is not an exact Q maximizer.
     """
-    return _one_fit(_run_em([data], cfg, _make_ols_mstep, ascent_error=None, callback=callback))
+    return _one_fit(_run_em([data], cfg, _make_ols_mstep, ascent_error=None))
 
 
 def fit_lockstep(datas: Sequence[PatternData], cfg: FitConfig) -> list[FitResult | Exception]:

@@ -276,11 +276,6 @@ class PatternStack:
     def n_items(self) -> int:
         return self.patterns.shape[1]
 
-    def rows_of(self, k: int) -> slice:
-        """The rows of tables[k]."""
-        start = sum(data.n_patterns for data in self.tables[:k])
-        return slice(start, start + self.tables[k].n_patterns)
-
     def select(self, keep: np.ndarray) -> PatternStack:
         """The stack of the tables where keep is true."""
         if keep.all():
@@ -417,7 +412,7 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
 
     For a PatternStack of R tables of any lengths, prob is the (R, J, T)
     stack of their matrices.  Returns (post, logliks): post is (rows, T),
-    table r's posterior in its rows_of(r), and logliks[r] is fit r's
+    the tables' posteriors in their order, and logliks[r] is fit r's
     log-likelihood or its PosteriorUnderflowError.  The log-joint products
     and the log-likelihoods' sums make one stacked call per run of equally
     long tables, one product per table over its own rows; the rest is
@@ -427,7 +422,7 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     A table of more than BLOCK_ROWS patterns runs the blocked kernel of
     estep, which writes its posterior node-major into a (T, P) buffer:
     post is that buffer's transpose, the same (P, T) posterior by value,
-    read column-major in memory, and bit-identical to the one estep gives.
+    read column-major in memory.
     """
     stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
     prob = prob if stack is data else prob[None]
@@ -445,25 +440,22 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     return post, loglik
 
 
-def estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid,
-          keep_post: bool = False) -> tuple:
-    """One E-step of a stack: the posterior, each fit's log-likelihood and the counts.
+def estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
+    """One E-step of a stack: each fit's log-likelihood and the counts.
 
     prob is the (R, J, T) stack of the R tables' probability matrices.
-    Returns (post, logliks, counts): the post and logliks of
-    posterior(stack, prob, grid) and the counts of expected_counts on that
-    post, bit for bit.  A one-block stack makes those two calls, and its
-    post is always returned.  A table larger than BLOCK_ROWS makes one
-    pass per block, each block running _estep_block once and converting
-    its float rows once, and its post is None unless keep_post is true.
+    Returns (logliks, counts): the logliks of posterior(stack, prob, grid)
+    and the counts of expected_counts on its post, bit for bit.  A
+    one-block stack makes those two calls.  A table larger than BLOCK_ROWS
+    makes one pass per block and keeps no posterior, each block running
+    _estep_block once and converting its float rows once.
     """
     if stack.operands is not None:
         post, logliks = posterior(stack, prob, grid)
-        return post, logliks, expected_counts(stack, post)
-    post = np.empty((grid.size, stack.n_patterns)).T if keep_post else None
+        return logliks, expected_counts(stack, post)
     with np.errstate(divide="ignore", invalid="ignore"):
-        norm, counts = _blocks_pass(stack, prob, grid, post, count=True)
-        return post, _logliks(stack, norm), counts
+        norm, counts = _blocks_pass(stack, prob, grid, count=True)
+        return _logliks(stack, norm), counts
 
 
 def _count_block(rows, stack, post) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -355,14 +355,3 @@ def replicate_study(
         )
 
     return _aggregate(design, cells)
-
-
-def quad_study(
-    design: StudyDesign,
-    estimators: Sequence[str] = ("ols",),
-    t_sweep: Sequence[int] = DEFAULT_QUAD_SWEEP,
-    workers: int = 1,
-) -> StudySummary:
-    """Replication study swept over a list of quadrature point counts."""
-    swept = replace(design, t_list=tuple(t_sweep))
-    return replicate_study(swept, estimators=estimators, workers=workers)

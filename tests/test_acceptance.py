@@ -239,6 +239,7 @@ def test_criterion_5_quadrature_exactness():
 def random_instance_fits():
     """20 random instances fitted by both estimators with E-step probes."""
     runs = []
+    estep = expectation.estep
     for i, seed in enumerate(np.random.SeedSequence(2024).spawn(20)):
         rng = np.random.default_rng(seed)
         n_items = int(rng.integers(3, 7))
@@ -252,16 +253,24 @@ def random_instance_fits():
             for _ in range(n_items)
         ]
         data = tabulate(generate(truth, n_persons, seed))
-        probes = []
+        calls = []
 
-        def probe(iteration, params, post, counts, data=data, probes=probes):
+        def recording(stack, prob, grid, calls=calls):
+            out = estep(stack, prob, grid)
+            calls.append((stack, prob, grid, out[1]))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expectation, "estep", recording)
+            ols = fit(data, FitConfig(model=model))
+            nr = fit_nr(data, FitConfig(model=model))
+        probes = []
+        for stack, prob, grid, counts in calls:
+            post, _ = expectation.posterior(stack, prob, grid)
             probes.append(
                 (abs(counts.nt.sum() - data.n_persons),
                  float(np.abs(post.sum(axis=1) - 1).max()))
             )
-
-        ols = fit(data, FitConfig(model=model), callback=probe)
-        nr = fit_nr(data, FitConfig(model=model), callback=probe)
         runs.append((data, ols, nr, probes))
     return runs
 

@@ -279,6 +279,20 @@ class TestQuadstudy:
         assert f"error: {error}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--quads", "--true-a", "--true-b"])
+    @pytest.mark.parametrize("value", ["1,,2", "1,2,"])
+    def test_an_empty_item_exits_one_without_output(self, tmp_path, capsys, flag, value):
+        """An empty item is an error, not dropped from the list."""
+        code = main(
+            ["quadstudy", "--model", "1pl", flag, value, "--reps", "1", "--n-persons", "200",
+             "--out", str(tmp_path / "out" / "s")]
+        )
+        assert code == 1
+        assert f"error: expected a comma-separated list of numbers, got {value!r}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_node_count_exits_one_without_output(self, tmp_path, capsys):
         code = main(
             ["quadstudy", "--model", "2pl", "--quads", "4,4", "--reps", "3",

@@ -457,8 +457,8 @@ class TestEStep:
         estep = expectation.estep
         seen = []
 
-        def recording(stack, prob, grid, keep_post=False):
-            out = estep(stack, prob, grid, keep_post)
+        def recording(stack, prob, grid):
+            out = estep(stack, prob, grid)
             seen.append((stack, prob, grid, out))
             return out
 
@@ -467,37 +467,12 @@ class TestEStep:
         lockstep = em_ols.fit_lockstep if n_quads < 14 else em_nr.fit_nr_lockstep
         lockstep(tables, FitConfig(model=ModelKind.TWO_PL, n_quads=n_quads, max_iter=2))
         assert len(seen) == 3
-        for stack, prob, grid, (post, logliks, counts) in seen:
+        for stack, prob, grid, (logliks, counts) in seen:
             assert len(stack.tables) == len(tables)
             want_post, want_logliks = posterior(stack, prob, grid)
             want = expected_counts(stack, want_post)
             assert logliks == want_logliks
             assert np.array_equal(counts.n1, want.n1) and np.array_equal(counts.nt, want.nt)
-            if block_rows == "stack":
-                assert np.array_equal(post, want_post)
-            else:
-                assert post is None
-                assert np.array_equal(estep(stack, prob, grid, keep_post=True)[0], want_post)
-
-    @pytest.mark.parametrize("fit_fn", [em_ols.fit, em_nr.fit_nr], ids=["ols", "nr"])
-    def test_a_callback_changes_no_fit(self, wide_table, fit_fn):
-        """The callback's posterior is the pass's own: its rows sum to one, and
-        its counts are expected_counts on it."""
-        data = wide_table[0]
-        assert data.n_patterns > expectation.BLOCK_ROWS
-        cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=6, max_iter=8)
-        seen = []
-
-        def callback(iteration, params, post, counts):
-            assert post.shape == (data.n_patterns, 6)
-            np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=1e-12)
-            want = expected_counts(data, post)
-            assert np.array_equal(counts.n1, want.n1) and np.array_equal(counts.nt, want.nt)
-            seen.append(iteration)
-
-        watched = fit_fn(data, cfg, callback=callback)
-        assert seen == list(range(1, watched.iterations + 1))
-        assert fit_repr(watched) == fit_repr(fit_fn(data, cfg))
 
     @pytest.mark.parametrize("block_rows, index", [(7, 17), (expectation.BLOCK_ROWS, 4101)])
     def test_underflow_in_a_fit_reports_the_global_pattern_index(

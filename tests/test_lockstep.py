@@ -30,6 +30,12 @@ def outcome_repr(outcome):
     )
 
 
+def table_rows(lengths):
+    """The slices of a stack's rows that hold each of its tables, in order."""
+    ends = np.cumsum([0, *lengths]).tolist()
+    return [slice(start, end) for start, end in zip(ends, ends[1:])]
+
+
 def one_at_a_time(fit_fn, tables, cfg):
     outcomes = []
     for data in tables:
@@ -252,8 +258,7 @@ def test_split_stacks_consecutive_tables_within_block_rows(monkeypatch):
     for stack in stacks:
         assert stack.patterns.shape == (stack.n_patterns, stack.n_items)
         assert stack.float_freqs.shape == (stack.n_patterns,)
-        for k, data in enumerate(stack.tables):
-            rows = stack.rows_of(k)
+        for data, rows in zip(stack.tables, table_rows([d.n_patterns for d in stack.tables])):
             assert np.array_equal(stack.patterns[rows], data.patterns)
             assert np.array_equal(stack.float_freqs[rows], data.float_freqs)
             if stack.operands is not None:
@@ -315,8 +320,9 @@ def test_stacked_counts_and_logliks_are_each_tables_own(n_items, n_quads):
         post, logliks = expectation.posterior(stack, prob[fits], grid)
         assert post.shape == (sum(lengths[r] for r in fits), n_quads)
         counts = expectation.expected_counts(stack, post)
+        rows = table_rows([lengths[r] for r in fits])
         return {
-            r: (logliks[k], [post[stack.rows_of(k)], counts.n1[k], counts.nt[k]])
+            r: (logliks[k], [post[rows[k]], counts.n1[k], counts.nt[k]])
             for k, r in enumerate(fits)
         }
 

@@ -24,7 +24,6 @@ from emirt.simgen import (
     generate,
     is_outlier,
     outlier_verdicts,
-    quad_study,
     replicate_study,
 )
 
@@ -487,16 +486,6 @@ class TestReplicateStudy:
 
 
 class TestQuadStudy:
-    def test_default_sweep(self):
-        design = small_design(reps=1)
-        summary = quad_study(design)
-        assert {r.n_quads for r in summary.rows} == set(DEFAULT_QUAD_SWEEP)
-
-    def test_custom_sweep(self):
-        design = small_design(reps=1)
-        summary = quad_study(design, t_sweep=(2, 3))
-        assert {r.n_quads for r in summary.rows} == {2, 3}
-
     def test_two_nodes_minimize_one_pl_rmse_for_extreme_items(self):
         """Across the full sweep, T=2 gives the smallest RMSE at |b| = 3."""
         design = StudyDesign(
@@ -504,10 +493,10 @@ class TestQuadStudy:
             n_persons=5000,
             reps=100,
             model=ModelKind.ONE_PL,
-            t_list=(2,),
+            t_list=DEFAULT_QUAD_SWEEP,
             seed=314,
         )
-        summary = quad_study(design)
+        summary = replicate_study(design)
         rmse = {}
         for row in summary.rows:
             rmse.setdefault(row.item, {})[row.n_quads] = row.rmse_b

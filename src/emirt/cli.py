@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -26,7 +27,7 @@ from .model import ItemParams, ModelKind
 from .patterns import IngestionError, load_response_csv, tabulate
 from .simgen import StudyDesign, StudySummary, is_outlier
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 STUDY_CSV_COLUMNS = (
     "item",
@@ -79,6 +80,21 @@ def _digest_bytes(payload: bytes) -> str:
 def _digest_config(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return _digest_bytes(canonical.encode())
+
+
+def _json_text(payload) -> str:
+    """payload as indented JSON, with null for every non-finite float: RFC 8259 has no NaN."""
+
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+
+    return json.dumps(finite(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(value: float) -> str:
@@ -214,12 +230,10 @@ def cmd_fit(args) -> int:
             payload["disagreement"] = {
                 f"max_abs_{k}": max(abs(ia[k] - ib[k]) for ia, ib in pairs) for k in ("a", "b")
             }
-        out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        out_path.write_text(_json_text(payload), encoding="utf-8")
     else:
         manifest_path = Path(str(out_path) + ".manifest.json")
-        manifest_path.write_text(
-            json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8"
-        )
+        manifest_path.write_text(_json_text(asdict(manifest)), encoding="utf-8")
         rows = [{"item": i["index"], **block, **i} for block in blocks for i in block["items"]]
         _write_csv(out_path, manifest_path.name, FIT_CSV_COLUMNS, rows)
     print(f"wrote {out_path}")
@@ -326,7 +340,7 @@ def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
         "manifest": asdict(manifest),
         **_summary_json(summary),
     }
-    json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    json_path.write_text(_json_text(payload), encoding="utf-8")
     _write_csv(csv_path, json_path.name, STUDY_CSV_COLUMNS, map(asdict, summary.rows))
     print(f"wrote {csv_path} and {json_path}")
     if summary.failures:

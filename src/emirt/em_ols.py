@@ -201,14 +201,14 @@ def _run_em(
     M-step, the probability matrices and the phi residuals each run once
     per iteration on the stacked (R, J, T) arrays.  The fits are ordered by
     table length, and PatternStack.split puts neighbouring fits into
-    stacks of at most BLOCK_ROWS rows in all, once, whatever their tables'
-    lengths; the stacks are compacted as fits leave.  So all fits of small
-    tables share one stack and a larger table is a stack of its own.  The
-    E-step of an iteration is one expectation.estep call per stack: it
-    gives every fit of the stack its log-likelihood, or its
-    PosteriorUnderflowError, and its counts, each bit-identical to those of
-    the fit run alone.  An error of a stacked call itself is the outcome of
-    each of its fits.
+    stacks of at most BLOCK_ROWS rows in all, whatever their tables'
+    lengths: once at the start, and again from the live tables whenever
+    fits leave.  So all fits of small tables share one stack and a larger
+    table is a stack of its own.  The E-step of an iteration is one
+    expectation.estep call per stack: it gives every fit of the stack its
+    log-likelihood, or its PosteriorUnderflowError, and its counts, each
+    bit-identical to those of the fit run alone.  An error of a stacked
+    call itself is the outcome of each of its fits.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
     degenerate) over the stacked arrays, the last marking items to flag
@@ -222,9 +222,9 @@ def _run_em(
 
     Each fit keeps its own iteration count, traces, flags and
     loglik_decreases, and leaves the lockstep when it converges, reaches
-    cfg.max_iter or raises; the remaining fits are compacted and go on
-    unaffected.  Returns, per table, its FitResult or the exception its
-    fit raised.
+    cfg.max_iter or raises; the remaining fits' rows are kept, their
+    stacks rebuilt, and they go on unaffected.  Returns, per table, its
+    FitResult or the exception its fit raised.
     """
     grid = normal_grid(cfg.resolved_quads)
     mstep = make_mstep(grid, cfg.model)
@@ -234,8 +234,8 @@ def _run_em(
     n_items = datas[0].n_items
     if any(data.n_items != n_items for data in datas):
         raise ValueError("fits in lockstep need tables with the same items")
-    fits = [FitResult([], 0, False, [], [], []) for _ in datas]
-    outcomes: list[FitResult | Exception] = list(fits)
+    # a live fit's outcome is its FitResult, replaced by its error if it raises
+    outcomes: list[FitResult | Exception] = [FitResult([], 0, False, [], [], []) for _ in datas]
 
     # The live fits' indices into datas, and their rows of the stacked arrays.
     # Ordered by table length: tables of one length are neighbours in a stack
@@ -267,7 +267,7 @@ def _run_em(
             counts.n1[start:end], counts.nt[start:end] = stack_counts.n1, stack_counts.nt
             for i, ll in enumerate(logliks, start):
                 r = live[i]
-                fit = fits[r]
+                fit = outcomes[r]
                 if isinstance(ll, Exception):  # a fit's error is its outcome, never the others'
                     outcomes[r] = ll
                     gone.append(i)
@@ -291,7 +291,7 @@ def _run_em(
         if len(gone) == len(live):
             break
         if gone:
-            live, stacks, counts, a, b, flagged = _compact(gone, live, stacks, counts, a, b, flagged)
+            live, stacks, counts, a, b, flagged = _compact(gone, live, datas, counts, a, b, flagged)
         iteration += 1
 
         try:
@@ -310,15 +310,15 @@ def _run_em(
                     gone.append(i)
             if len(gone) == len(live):
                 break
-            live, stacks, counts, a, b, flagged = _compact(gone, live, stacks, counts, a, b, flagged)
+            live, stacks, counts, a, b, flagged = _compact(gone, live, datas, counts, a, b, flagged)
             new_a, new_b, degenerate, deltas = _checked_mstep(mstep, a, b, counts)
         flagged |= degenerate
 
         prob = expectation.response_prob_matrix(new_a, new_b, grid)
         phi = expectation.phi_residuals(prob, counts)
         for r, d, phi_max in zip(live, deltas, np.abs(phi).max(axis=(1, 2)).tolist()):
-            fits[r].max_delta_trace.append(d)
-            fits[r].phi_max_trace.append(phi_max)
+            outcomes[r].max_delta_trace.append(d)
+            outcomes[r].phi_max_trace.append(phi_max)
 
         a, b = new_a, new_b
         converged = [d < cfg.tol for d in deltas]
@@ -341,18 +341,15 @@ def _checked_mstep(mstep, a, b, counts) -> tuple:
 
 
 def _compact(
-    gone: list[int], live: list[int], stacks: list[expectation.PatternStack],
+    gone: list[int], live: list[int], datas: Sequence[PatternData],
     counts: ExpectedCounts, *arrays: np.ndarray,
 ) -> list:
-    """live, the stacks, the counts and the rows of each stacked array, without
-    the positions in gone."""
+    """live without the positions in gone, the stacks of its tables, and the
+    counts and the rows of each stacked array without those positions."""
     keep = np.ones(len(live), dtype=bool)
     keep[gone] = False
     live = [r for r, k in zip(live, keep.tolist()) if k]
-    ends = np.cumsum([len(stack.tables) for stack in stacks])
-    stacks = [
-        stack.select(k) for stack, k in zip(stacks, np.split(keep, ends[:-1])) if k.any()
-    ]
+    stacks = expectation.PatternStack.split([datas[r] for r in live])
     counts = ExpectedCounts(n1=counts.n1[keep], nt=counts.nt[keep])
     return [live, stacks, counts, *(x[keep] for x in arrays)]
 

@@ -203,9 +203,7 @@ class PatternStack:
     runs        : a Run per run of neighbouring tables of one length, in order
 
     n_patterns (the rows in all), n_items and float_freqs read as a
-    table's do.  A one-table stack holds its table's own arrays.  tables is
-    a list: a study sweep peaked 0.8 MB higher when select built a tuple
-    from a generator instead.
+    table's do.  A one-table stack holds its table's own arrays.
     """
 
     tables: list[PatternData]
@@ -276,14 +274,6 @@ class PatternStack:
     def n_items(self) -> int:
         return self.patterns.shape[1]
 
-    def select(self, keep: np.ndarray) -> PatternStack:
-        """The stack of the tables where keep is true."""
-        if keep.all():
-            return self
-        tables = [data for data, k in zip(self.tables, keep.tolist()) if k]
-        rows = np.repeat(keep, [data.n_patterns for data in self.tables])
-        return PatternStack(tables, self.patterns[rows], self.float_freqs[rows])
-
 
 def _normalise_stack(stack, log_p, log_q, log_w, post) -> np.ndarray:
     """A one-block stack's (rows, 1) log normalisers; given post, its posterior too.
@@ -325,8 +315,8 @@ def _estep_block(rows, stack, log_odds, base, norm, post, count):
     contiguous rows, about ten times faster at T = 10 than over each row's
     T nodes.  One in-place exp of the log joint less its peak gives the
     sums, and norm[rows] = peak + log(sums).  Given post or count, the
-    block is divided by its sums into its posterior, written to the (T, P)
-    buffer behind post when there is one; given count, it is weighted by
+    block is divided by its sums into its posterior, written to its rows
+    of the (P, T) post when there is one; given count, it is weighted by
     the frequencies in place, and the block's (1, T) N_t and (1, I, T) N1
     are returned as _count_block takes them from that posterior.
     """
@@ -341,7 +331,7 @@ def _estep_block(rows, stack, log_odds, base, norm, post, count):
     if post is not None or count:
         block /= sums
     if post is not None:
-        post.T[:, rows] = block
+        post[rows] = block.T
     if count:
         block *= stack.float_freqs[rows]
         return _node_major_counts(x_b, block)
@@ -418,18 +408,10 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     long tables, one product per table over its own rows; the rest is
     row-local and runs once over the stack.  So every fit gets the values
     of a call on its table alone, bit for bit.
-
-    A table of more than BLOCK_ROWS patterns runs the blocked kernel of
-    estep, which writes its posterior node-major into a (T, P) buffer:
-    post is that buffer's transpose, the same (P, T) posterior by value,
-    read column-major in memory.
     """
     stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
     prob = prob if stack is data else prob[None]
-    if stack.operands is None:  # written node-major by _estep_block
-        post = np.empty((grid.size, stack.n_patterns)).T
-    else:
-        post = np.empty((stack.n_patterns, grid.size))
+    post = np.empty((stack.n_patterns, grid.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         logliks = _logliks(stack, _log_normalisers(stack, prob, grid, post))
     if stack is data:
@@ -461,11 +443,10 @@ def estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
 def _count_block(rows, stack, post) -> tuple[np.ndarray, np.ndarray]:
     """One row block's partial (1, T) N_t and (1, I, T) N1_jt for a table over BLOCK_ROWS rows.
 
-    The block is read node-major, as the (T, rows) post.T[:, rows] that
-    posterior wrote, and counted as _estep_block does.
+    The block's (T, rows) posterior is counted as _estep_block counts its own.
     """
-    # a C-ordered product, whatever post's layout, so the sums add in one order
-    weighted = np.multiply(post.T[:, rows], stack.float_freqs[rows], order="C")
+    # a C-ordered product, whatever post's layout, so the sums add in _estep_block's order
+    weighted = np.multiply(post[rows].T, stack.float_freqs[rows], order="C")
     return _node_major_counts(stack.patterns[rows].astype(np.float64), weighted)
 
 

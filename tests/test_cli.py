@@ -50,7 +50,7 @@ class TestFit:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 4
+        assert payload["schema_version"] == 5
         assert payload["manifest"]["command"] == "fit"
         assert len(payload["manifest"]["input_digest"]) == 64
         assert payload["converged"] is True
@@ -309,6 +309,24 @@ class TestQuadstudy:
         sim_rows = (tmp_path / "sim.csv").read_text().splitlines()[1:]
         quad_rows = (tmp_path / "quad.csv").read_text().splitlines()[1:]
         assert sim_rows == quad_rows
+
+    def test_a_cell_without_fits_writes_null_not_nan(self, tmp_path):
+        """Both T = 50 fits fail, so the cell has no means: its JSON gives
+        null, which an RFC 8259 parser accepts, and its CSV row keeps nan."""
+        out = tmp_path / "s"
+        code = main(
+            ["quadstudy", "--model", "2pl", "--quads", "50", "--reps", "2",
+             "--n-persons", "200", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"the study JSON holds a bare {token}")
+
+        payload = json.loads(out.with_suffix(".json").read_text(), parse_constant=reject)
+        assert payload["failures"] == 2
+        assert all(row["mean_a"] is None and row["rmse_b"] is None for row in payload["rows"])
+        assert all(np.isnan(row["mean_a"]) for row in read_study_csv(out.with_suffix(".csv")))
 
     def test_default_sweep(self, tmp_path):
         out = tmp_path / "sweep"

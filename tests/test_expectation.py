@@ -426,13 +426,14 @@ class TestBlockedEStep:
         np.testing.assert_allclose(blocked.loglik_trace, whole.loglik_trace, rtol=BLOCK_RTOL)
 
     def test_counts_do_not_depend_on_the_posteriors_layout(self, wide_table):
-        """A multi-block posterior is the transpose of a node-major buffer;
-        a row-major copy of it gives the same counts, bit for bit."""
+        """A multi-block posterior is row-major, like any other; a
+        column-major copy of it gives the same counts, bit for bit."""
         data, prob, grid = wide_table
         post, _ = posterior(data, prob, grid)
-        assert post.T.flags.c_contiguous
-        copy = np.ascontiguousarray(post)
-        assert copy.flags.c_contiguous and np.array_equal(copy, post)
+        assert post.shape == (data.n_patterns, grid.size) and post.flags.c_contiguous
+        copy = np.asfortranarray(post)
+        assert copy.flags.f_contiguous and not copy.flags.c_contiguous
+        assert np.array_equal(copy, post)
         want, got = expected_counts(data, post), expected_counts(data, copy)
         assert np.array_equal(got.n1, want.n1) and np.array_equal(got.nt, want.nt)
 

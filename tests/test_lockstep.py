@@ -236,6 +236,42 @@ def test_stacks_hold_at_most_block_rows(estimator, monkeypatch):
     assert [outcome_repr(o) for o in together] == [outcome_repr(o) for o in alone]
 
 
+@pytest.mark.parametrize("estimator", sorted(ENGINES))
+def test_compaction_restacks_the_live_tables(estimator, monkeypatch):
+    """When fits leave, the live tables are split into stacks afresh.
+
+    At 38 rows per block the eight 300-person tables (17 to 21 patterns)
+    make five stacks.  Fits leave at different iterations, and the last
+    fits, from different stacks, then share one: each iteration's E-step
+    calls take the stacks of PatternStack.split on that iteration's live
+    tables, and the fits stay bit-identical.
+    """
+    monkeypatch.setattr(expectation, "BLOCK_ROWS", 38)
+    fit_fn, lockstep = ENGINES[estimator]
+    batch = [tabulate(generate(TRUTH[ModelKind.ONE_PL], 300, seed)) for seed in range(8)]
+    estep = expectation.estep
+    stacks = []
+
+    def recording(stack, prob, grid):
+        stacks.append(stack)
+        return estep(stack, prob, grid)
+
+    monkeypatch.setattr(expectation, "estep", recording)
+    cfg = FitConfig(model=ModelKind.ONE_PL, n_quads=4)
+    together = lockstep(batch, cfg)
+    monkeypatch.setattr(expectation, "estep", estep)
+    assert len({o.iterations for o in together}) > 2
+    assert [outcome_repr(o) for o in together] == [outcome_repr(o) for o in one_at_a_time(fit_fn, batch, cfg)]
+    want = []
+    for k in range(1 + max(o.iterations for o in together)):
+        live = sorted((data for data, o in zip(batch, together) if o.iterations >= k),
+                      key=lambda data: data.n_patterns)
+        want += expectation.PatternStack.split(live)
+    assert [[id(data) for data in stack.tables] for stack in stacks] == [
+        [id(data) for data in stack.tables] for stack in want
+    ]
+
+
 def test_split_stacks_consecutive_tables_within_block_rows(monkeypatch):
     """At 5 rows per block a stack holds neighbouring tables of any lengths, 5 rows at most.
 
@@ -278,15 +314,6 @@ def test_split_stacks_consecutive_tables_within_block_rows(monkeypatch):
                 assert np.array_equal(view, operand[run.rows].reshape(n_fits, n, -1))
     assert stacks[-1].operands is None
     assert np.shares_memory(stacks[-1].patterns, batch[-1].patterns)  # one table: a view
-    # compaction slices the rows and operands of the tables kept
-    kept = stacks[1].select(np.array([True, False, True]))
-    fresh = expectation.PatternStack.of([batch[5], batch[7]])
-    assert same_tables(kept.tables, fresh.tables)
-    assert [run[:3] for run in kept.runs] == [run[:3] for run in fresh.runs]
-    for got, want in zip((kept.patterns, kept.float_freqs, *kept.operands),
-                         (fresh.patterns, fresh.float_freqs, *fresh.operands)):
-        assert np.array_equal(got, want)
-    assert stacks[0].select(np.ones(5, dtype=bool)) is stacks[0]
     assert expectation.PatternStack.split([]) == []
 
 

@@ -244,7 +244,7 @@ class TestAggregate:
         argv = ["simulate", "--model", "1pl", "--reps", "2", "--n-persons", "200", "--out", str(out)]
         assert main(argv) == 0
         payload = json.loads(out.with_suffix(".json").read_text())
-        assert payload["schema_version"] == SCHEMA_VERSION == 4
+        assert payload["schema_version"] == SCHEMA_VERSION == 5
         (timing,) = payload["timing"]
         assert timing["fits"] == 2 and timing["nonconverged"] == 0
 

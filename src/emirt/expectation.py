@@ -47,8 +47,8 @@ class ExpectedCounts:
 
     expected_counts gives one table's (J, T) and (T,) arrays, or, for a
     PatternStack of R tables, (R, J, T) and (R, T) arrays whose slices are
-    each table's own; the lockstep EM loop gathers the stacks' counts
-    along a leading replication axis.
+    each table's own, as estep does; the lockstep EM loop gathers the
+    stacks' counts along a leading replication axis.
     """
 
     n1: np.ndarray
@@ -85,11 +85,12 @@ def response_prob_matrix(a: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> 
 # patterns and its (2048, T) intermediates stay within a 2 MiB L2 cache; a
 # table of at most BLOCK_ROWS patterns is one block.  A PatternStack of
 # several tables holds at most BLOCK_ROWS rows in all, so it is one block
-# too, and its posterior is no larger than one block's.  The blocks of a
-# larger table run through one fused kernel (_estep_block): one product,
-# one exp, and the counts taken while the block is in cache.  A one-block
-# stack keeps the two-product row-major arithmetic, bit for bit, so that
-# every study CSV stays byte-identical until the reference is re-recorded.
+# too, and its posterior is no larger than one block's.  Only estep takes
+# a larger table; its blocks run through one fused kernel (_estep_block):
+# one product, one exp, and the counts taken while the block is in cache,
+# with no posterior kept.  A one-block stack keeps the two-product
+# row-major arithmetic, bit for bit, so that every study CSV stays
+# byte-identical until the reference is re-recorded.
 BLOCK_ROWS = 2048
 
 # The caller and _helpers pool threads work through the blocks of a larger
@@ -275,11 +276,23 @@ class PatternStack:
         return self.patterns.shape[1]
 
 
-def _normalise_stack(stack, log_p, log_q, log_w, post) -> np.ndarray:
-    """A one-block stack's (rows, 1) log normalisers; given post, its posterior too.
+def _one_block(data: PatternData | PatternStack) -> PatternStack:
+    """data's stack, if it is one block; a table over BLOCK_ROWS rows raises ValueError."""
+    stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
+    if stack.operands is None:
+        raise ValueError(
+            f"a table of {stack.n_patterns} patterns spans several blocks of {BLOCK_ROWS} rows; "
+            "only estep takes it"
+        )
+    return stack
 
-    log_p and log_q are the (R, I, T) logs of the stack's R probability
-    matrices, and post is (rows, T).  Each of the stack's runs makes each
+
+def _log_normalisers(stack, prob, grid, post=None) -> np.ndarray:
+    """A one-block stack's (rows, 1) log normalisers log sum_t P(X|theta_t) A_t;
+    given a (rows, T) post, its posterior too.
+
+    prob is the (R, J, T) stack of the tables' probability matrices, whose
+    logs are taken once here.  Each of the stack's runs makes each
     log-joint product with one stacked matmul into the (rows, T) buffers:
     it makes one product per table, over that table's own rows, as a
     one-table call does.  The rest is row-local and runs once over all of
@@ -289,6 +302,9 @@ def _normalise_stack(stack, log_p, log_q, log_w, post) -> np.ndarray:
     byte-identical until the benchmark's reference is re-recorded
     (ROADMAP item 3).
     """
+    if prob.shape[1] != stack.n_items:
+        raise ValueError(f"expected {stack.n_items} item parameters, got {prob.shape[1]}")
+    log_p, log_q = np.log(prob), np.log1p(-prob)
     log_joint = np.empty((len(stack.patterns), log_p.shape[-1]))
     # the second product can go into post, which the exp below overwrites
     part = np.empty_like(log_joint) if post is None else post
@@ -296,7 +312,7 @@ def _normalise_stack(stack, log_p, log_q, log_w, post) -> np.ndarray:
         np.matmul(run.x, log_p[run.fits], out=log_joint[run.rows].reshape(run.shape))
         np.matmul(run.x_c, log_q[run.fits], out=part[run.rows].reshape(run.shape))
     log_joint += part
-    log_joint += log_w
+    log_joint += grid.log_weights
     peak = np.maximum.reduce(log_joint, axis=-1, keepdims=True)
     norm = peak + np.log(np.add.reduce(np.exp(log_joint - peak), axis=-1, keepdims=True))
     if post is not None:
@@ -305,8 +321,8 @@ def _normalise_stack(stack, log_p, log_q, log_w, post) -> np.ndarray:
     return norm
 
 
-def _estep_block(rows, stack, log_odds, base, norm, post, count):
-    """One pass over a row block of a table larger than BLOCK_ROWS.
+def _estep_block(rows, stack, log_odds, base, norm):
+    """One pass over a row block of a table larger than BLOCK_ROWS: its N_t and N1.
 
     log_odds is the table's (I, T) log P - log(1 - P) and base the (T, 1)
     sum over items of log(1 - P) plus the log weights, so that the block's
@@ -314,11 +330,9 @@ def _estep_block(rows, stack, log_odds, base, norm, post, count):
     plus base.  The block works node-major: its peak and sums reduce over
     contiguous rows, about ten times faster at T = 10 than over each row's
     T nodes.  One in-place exp of the log joint less its peak gives the
-    sums, and norm[rows] = peak + log(sums).  Given post or count, the
-    block is divided by its sums into its posterior, written to its rows
-    of the (P, T) post when there is one; given count, it is weighted by
-    the frequencies in place, and the block's (1, T) N_t and (1, I, T) N1
-    are returned as _count_block takes them from that posterior.
+    sums, and norm[rows] = peak + log(sums).  The block is then divided by
+    its sums into its posterior and weighted by the frequencies in place,
+    and the block's (1, T) N_t and (1, I, T) N1 are returned.
     """
     x_b = stack.patterns[rows].astype(np.float64)
     block = log_odds.T @ x_b.T
@@ -328,50 +342,26 @@ def _estep_block(rows, stack, log_odds, base, norm, post, count):
     np.exp(block, out=block)
     sums = np.add.reduce(block, axis=0)
     np.add(peak, np.log(sums), out=norm[rows, 0])
-    if post is not None or count:
-        block /= sums
-    if post is not None:
-        post[rows] = block.T
-    if count:
-        block *= stack.float_freqs[rows]
-        return _node_major_counts(x_b, block)
+    block /= sums
+    block *= stack.float_freqs[rows]
+    return np.add.reduce(block, axis=1)[None], (x_b.T @ block.T)[None]
 
 
-def _node_major_counts(x_b, weighted) -> tuple[np.ndarray, np.ndarray]:
-    """The (1, T) N_t and (1, I, T) N1 of a block's float rows and its C-ordered
-    (T, rows) frequency-weighted posterior."""
-    return np.add.reduce(weighted, axis=1)[None], (x_b.T @ weighted.T)[None]
-
-
-def _blocks_pass(stack, prob, grid, post=None, count=False) -> tuple:
-    """_estep_block over every block of a one-table stack: (norm, counts or None).
+def _blocks_pass(stack, prob, grid) -> tuple[np.ndarray, ExpectedCounts]:
+    """_estep_block over every block of a one-table stack: (norm, counts).
 
     prob is the stack's (1, J, T) probability matrix; norm is (rows, 1),
-    and counts, given count, the (1, J, T) and (1, T) ExpectedCounts.
+    and counts the (1, J, T) and (1, T) ExpectedCounts: the first block's,
+    plus each further block's, in block order.
     """
     log_p, log_q = np.log(prob[0]), np.log1p(-prob[0])
     base = (np.add.reduce(log_q, axis=0) + grid.log_weights)[:, None]
     norm = np.empty((stack.n_patterns, 1))
-    parts = _map_blocks(_estep_block, stack.n_patterns, stack, log_p - log_q, base, norm, post, count)
-    return norm, _sum_counts(parts) if count else None
-
-
-def _log_normalisers(
-    stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid, post: np.ndarray | None = None
-) -> np.ndarray:
-    """log sum_t P(X|theta_t) A_t for every row X of the stack, shape (rows, 1).
-
-    prob is the (R, J, T) stack of the tables' probability matrices, whose
-    logs are taken once here.  Each block's log joint log P(X|theta_t) +
-    log A_t is reduced with log-sum-exp, and, when a (rows, T) post is
-    given, normalised into its rows of post: by _normalise_stack for a
-    one-block stack, and by _estep_block for a larger table.
-    """
-    if prob.shape[1] != stack.n_items:
-        raise ValueError(f"expected {stack.n_items} item parameters, got {prob.shape[1]}")
-    if stack.operands is None:
-        return _blocks_pass(stack, prob, grid, post)[0]
-    return _normalise_stack(stack, np.log(prob), np.log1p(-prob), grid.log_weights, post)
+    (nt, n1), *rest = _map_blocks(_estep_block, stack.n_patterns, stack, log_p - log_q, base, norm)
+    for nt_b, n1_b in rest:
+        nt += nt_b
+        n1 += n1_b
+    return norm, ExpectedCounts(n1=n1, nt=nt)
 
 
 def _logliks(stack: PatternStack, norm: np.ndarray) -> list:
@@ -408,8 +398,10 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     long tables, one product per table over its own rows; the rest is
     row-local and runs once over the stack.  So every fit gets the values
     of a call on its table alone, bit for bit.
+
+    A table over BLOCK_ROWS rows raises ValueError: only estep takes it.
     """
-    stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
+    stack = _one_block(data)
     prob = prob if stack is data else prob[None]
     post = np.empty((stack.n_patterns, grid.size))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -426,48 +418,19 @@ def estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
     """One E-step of a stack: each fit's log-likelihood and the counts.
 
     prob is the (R, J, T) stack of the R tables' probability matrices.
-    Returns (logliks, counts): the logliks of posterior(stack, prob, grid)
-    and the counts of expected_counts on its post, bit for bit.  A
-    one-block stack makes those two calls.  A table larger than BLOCK_ROWS
-    makes one pass per block and keeps no posterior, each block running
-    _estep_block once and converting its float rows once.
+    Returns (logliks, counts).  A one-block stack gives the logliks of
+    posterior(stack, prob, grid) and the counts of expected_counts on its
+    post, bit for bit.  A table larger than BLOCK_ROWS makes one pass per
+    block and keeps no posterior, each block running _estep_block once and
+    converting its float rows once; its values agree with the whole-table
+    formulas to about 1e-12 relative.
     """
     if stack.operands is not None:
         post, logliks = posterior(stack, prob, grid)
         return logliks, expected_counts(stack, post)
     with np.errstate(divide="ignore", invalid="ignore"):
-        norm, counts = _blocks_pass(stack, prob, grid, count=True)
+        norm, counts = _blocks_pass(stack, prob, grid)
         return _logliks(stack, norm), counts
-
-
-def _count_block(rows, stack, post) -> tuple[np.ndarray, np.ndarray]:
-    """One row block's partial (1, T) N_t and (1, I, T) N1_jt for a table over BLOCK_ROWS rows.
-
-    The block's (T, rows) posterior is counted as _estep_block counts its own.
-    """
-    # a C-ordered product, whatever post's layout, so the sums add in _estep_block's order
-    weighted = np.multiply(post[rows].T, stack.float_freqs[rows], order="C")
-    return _node_major_counts(stack.patterns[rows].astype(np.float64), weighted)
-
-
-def _count_stack(stack, post) -> ExpectedCounts:
-    """A one-block stack's (R, I, T) N1_jt and (R, T) N_t: one stacked product per run for each."""
-    nt = np.empty((len(stack.tables), post.shape[1]))
-    n1 = np.empty((len(stack.tables), stack.patterns.shape[1], post.shape[1]))
-    for run in stack.runs:
-        post_r = post[run.rows].reshape(run.shape)
-        nt[run.fits] = (run.freqs @ post_r)[:, 0]
-        np.matmul(run.xf_t, post_r, out=n1[run.fits])
-    return ExpectedCounts(n1=n1, nt=nt)
-
-
-def _sum_counts(parts: Sequence) -> ExpectedCounts:
-    """The first block's (nt, n1) plus each further block's, in block order."""
-    nt, n1 = parts[0]
-    for nt_b, n1_b in parts[1:]:
-        nt += nt_b
-        n1 += n1_b
-    return ExpectedCounts(n1=n1, nt=nt)
 
 
 def expected_counts(data: PatternData | PatternStack, post: np.ndarray) -> ExpectedCounts:
@@ -477,26 +440,29 @@ def expected_counts(data: PatternData | PatternStack, post: np.ndarray) -> Expec
     PatternStack of R tables and its (rows, T) posterior give (R, J, T)
     and (R, T), each fit's slice that of a call on its table alone, bit
     for bit: each count is one stacked product per run of equally long
-    tables.  For a table over BLOCK_ROWS rows the first row block gives
-    the counts, and each further block adds its own, in block order.
+    tables.  A table over BLOCK_ROWS rows raises ValueError: only estep
+    takes it.
     """
-    stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
-    if stack.operands is None:
-        counts = _sum_counts(_map_blocks(_count_block, stack.n_patterns, stack, post))
-    else:
-        counts = _count_stack(stack, post)
-    if stack is data:
-        return counts
-    return ExpectedCounts(n1=counts.n1[0], nt=counts.nt[0])
+    stack = _one_block(data)
+    nt = np.empty((len(stack.tables), post.shape[1]))
+    n1 = np.empty((len(stack.tables), stack.n_items, post.shape[1]))
+    for run in stack.runs:
+        post_r = post[run.rows].reshape(run.shape)
+        nt[run.fits] = (run.freqs @ post_r)[:, 0]
+        np.matmul(run.xf_t, post_r, out=n1[run.fits])
+    if stack is not data:
+        n1, nt = n1[0], nt[0]
+    return ExpectedCounts(n1=n1, nt=nt)
 
 
 def observed_loglik(data: PatternData, prob: np.ndarray, grid: QuadratureGrid) -> float:
     """Marginal log-likelihood sum_X N_X log sum_t P(X|theta_t) A_t.
 
-    The EM loop takes this value from posterior(); this function computes
-    it on its own and is the reference the fit traces are tested against.
+    The EM loop takes this value from estep; this function computes it on
+    its own and is the reference the fit traces are tested against.  A
+    table over BLOCK_ROWS rows raises ValueError: only estep takes it.
     """
-    norm = _log_normalisers(PatternStack.of([data]), prob[None], grid)
+    norm = _log_normalisers(_one_block(data), prob[None], grid)
     return float(data.float_freqs @ norm[:, 0])
 
 

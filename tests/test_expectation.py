@@ -14,6 +14,7 @@ from emirt import em_nr, em_ols, expectation
 from emirt.em_ols import FitConfig
 from emirt.expectation import (
     ExpectedCounts,
+    PatternStack,
     PosteriorUnderflowError,
     expected_counts,
     observed_loglik,
@@ -320,6 +321,12 @@ def helper_thread():
         yield pool
 
 
+def one_table_estep(data, prob, grid):
+    """estep on data's own stack: (loglik or PosteriorUnderflowError, N1, N_t)."""
+    (loglik,), counts = expectation.estep(PatternStack.of([data]), prob[None], grid)
+    return loglik, counts.n1[0], counts.nt[0]
+
+
 def run_blocks_on(pool, monkeypatch):
     """Share multi-block E-steps with pool's one thread, or run them inline when pool is None."""
     monkeypatch.setattr(expectation, "_pool", pool)
@@ -339,19 +346,34 @@ class TestBlockedEStep:
     def test_matches_whole_table_formulas(self, wide_data, block_rows, n_quads, monkeypatch):
         monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
         data, prob, grid = wide_instance(wide_data, n_quads)
-        ref_post, ref_ll, ref_n1, ref_nt = reference_estep(data, prob, grid)
-        post, ll = posterior(data, prob, grid)
-        counts = expected_counts(data, post)
-        np.testing.assert_allclose(post, ref_post, rtol=BLOCK_RTOL, atol=0)
+        _, ref_ll, ref_n1, ref_nt = reference_estep(data, prob, grid)
+        ll, n1, nt = one_table_estep(data, prob, grid)
         np.testing.assert_allclose(ll, ref_ll, rtol=BLOCK_RTOL)
-        np.testing.assert_allclose(counts.n1, ref_n1, rtol=BLOCK_RTOL)
-        np.testing.assert_allclose(counts.nt, ref_nt, rtol=BLOCK_RTOL)
+        np.testing.assert_allclose(n1, ref_n1, rtol=BLOCK_RTOL)
+        np.testing.assert_allclose(nt, ref_nt, rtol=BLOCK_RTOL)
 
-    @pytest.mark.parametrize("block_rows", [1, 7, expectation.BLOCK_ROWS])
-    def test_loglik_equals_observed_loglik(self, wide_table, block_rows, monkeypatch):
-        monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
+    def test_only_estep_takes_a_table_over_block_rows(self, wide_table, monkeypatch):
+        """The whole-table forms refuse a table one row past BLOCK_ROWS and
+        give the whole-table formulas' bits on a table of BLOCK_ROWS rows."""
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", 7)
         data, prob, grid = wide_table
-        assert posterior(data, prob, grid)[1] == observed_loglik(data, prob, grid)
+        longer = PatternData(patterns=data.patterns[:8], freqs=data.freqs[:8])
+        for call in (
+            lambda: posterior(longer, prob, grid),
+            lambda: expected_counts(longer, np.full((8, grid.size), 1.0 / grid.size)),
+            lambda: observed_loglik(longer, prob, grid),
+        ):
+            with pytest.raises(ValueError, match="estep"):
+                call()
+        exact = PatternData(patterns=data.patterns[:7], freqs=data.freqs[:7])
+        ref_post, ref_ll, ref_n1, ref_nt = reference_estep(exact, prob, grid)
+        post, ll = posterior(exact, prob, grid)
+        counts = expected_counts(exact, post)
+        assert np.array_equal(post, ref_post) and ll == ref_ll
+        assert np.array_equal(counts.n1, ref_n1) and np.array_equal(counts.nt, ref_nt)
+        assert observed_loglik(exact, prob, grid) == ref_ll
+        ll, n1, nt = one_table_estep(exact, prob, grid)
+        assert ll == ref_ll and np.array_equal(n1, ref_n1) and np.array_equal(nt, ref_nt)
 
     def test_one_block_is_bit_identical(self, wide_table, monkeypatch):
         data, prob, grid = wide_table
@@ -382,8 +404,8 @@ class TestBlockedEStep:
     ):
         """A pattern in the third block whose likelihood p**1e307 is zero at every node.
 
-        The caller's np.errstate covers the blocks on the helper thread too:
-        no block warns, and the error names the pattern.
+        estep's np.errstate covers the blocks on the helper thread too: no
+        block warns, and the fit's loglik is the error naming the pattern.
         """
         assert index // block_rows == 2
         monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
@@ -395,9 +417,9 @@ class TestBlockedEStep:
         prob = response_prob_matrix(np.ones(30), np.full(30, 40.0), grid)  # P clamped to 1e-10
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PosteriorUnderflowError) as err, np.errstate(over="ignore"):
-                posterior(doomed, prob, grid)
-        assert err.value.pattern_index == index
+            with np.errstate(over="ignore"):
+                err = one_table_estep(doomed, prob, grid)[0]
+        assert isinstance(err, PosteriorUnderflowError) and err.pattern_index == index
 
     # OLS stays at T = 6.  Its M-step's log-odds log(N1 / (N_t - N1)) cancel
     # near the outer nodes and amplify the blocks' ulps: on this table an OLS
@@ -425,36 +447,22 @@ class TestBlockedEStep:
             np.testing.assert_allclose([got.a, got.b], [want.a, want.b], rtol=BLOCK_RTOL)
         np.testing.assert_allclose(blocked.loglik_trace, whole.loglik_trace, rtol=BLOCK_RTOL)
 
-    def test_counts_do_not_depend_on_the_posteriors_layout(self, wide_table):
-        """A multi-block posterior is row-major, like any other; a
-        column-major copy of it gives the same counts, bit for bit."""
-        data, prob, grid = wide_table
-        post, _ = posterior(data, prob, grid)
-        assert post.shape == (data.n_patterns, grid.size) and post.flags.c_contiguous
-        copy = np.asfortranarray(post)
-        assert copy.flags.f_contiguous and not copy.flags.c_contiguous
-        assert np.array_equal(copy, post)
-        want, got = expected_counts(data, post), expected_counts(data, copy)
-        assert np.array_equal(got.n1, want.n1) and np.array_equal(got.nt, want.nt)
-
 
 class TestEStep:
     """The EM loop's one E-step call per stack, whichever kernel the stack runs."""
 
-    @pytest.mark.parametrize("block_rows, n_quads", node_count_cases(7, expectation.BLOCK_ROWS, "stack"))
-    def test_loop_gives_the_posterior_and_counts_pair(self, wide_data, block_rows, n_quads, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_quads",
+        [pytest.param(n, id="stack" if n == 10 else f"stack-T{n}") for n in NODE_COUNTS],
+    )
+    def test_loop_gives_the_posterior_and_counts_pair(self, n_quads, monkeypatch):
         """Each of the loop's E-steps gives, bit for bit, the log-likelihoods of
         posterior and the counts of expected_counts on its posterior.
 
-        The wide table spans blocks of block_rows rows; "stack" is one
-        one-block stack of three tables of different lengths.
+        The loop runs one one-block stack of three tables of different lengths.
         """
-        if block_rows == "stack":
-            tables = [tabulate(generate(two_pl_truth(30), n, seed)) for seed, n in enumerate((40, 90, 200))]
-            assert len({data.n_patterns for data in tables}) == 3
-        else:
-            monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
-            tables = [wide_data]
+        tables = [tabulate(generate(two_pl_truth(30), n, seed)) for seed, n in enumerate((40, 90, 200))]
+        assert len({data.n_patterns for data in tables}) == 3
         estep = expectation.estep
         seen = []
 
@@ -521,12 +529,10 @@ class TestThreadCount:
         results = []
         for pool in (helper_thread, None):
             run_blocks_on(pool, monkeypatch)
-            post, ll = posterior(data, prob, grid)
-            results.append((post, ll, observed_loglik(data, prob, grid), expected_counts(data, post)))
-        (post_p, ll_p, obs_p, counts_p), (post_i, ll_i, obs_i, counts_i) = results
-        assert np.array_equal(post_p, post_i)
-        assert ll_p == ll_i and obs_p == obs_i
-        assert np.array_equal(counts_p.n1, counts_i.n1) and np.array_equal(counts_p.nt, counts_i.nt)
+            results.append(one_table_estep(data, prob, grid))
+        (ll_p, n1_p, nt_p), (ll_i, n1_i, nt_i) = results
+        assert ll_p == ll_i
+        assert np.array_equal(n1_p, n1_i) and np.array_equal(nt_p, nt_i)
 
     @pytest.mark.parametrize("fit_fn", [em_ols.fit, em_nr.fit_nr], ids=["ols", "nr"])
     def test_fits_are_identical_on_pool_and_inline(self, wide_table, fit_fn, helper_thread, monkeypatch):
@@ -594,11 +600,10 @@ class TestThreadCount:
         """No traced or counted emirt function runs off the calling thread.
 
         In each multi-block call the caller's blocks wait until the helper
-        has taken a block, so the helper runs every block kernel: those of
-        posterior, expected_counts and observed_loglik, and the blocked pass
-        of one fit iteration's two E-steps.
+        has taken a block, so the helper runs the block kernel of one fit
+        iteration's two E-steps.
         """
-        data, prob, grid = wide_table
+        data, _, grid = wide_table
         caller = threading.get_ident()
         helper_took_a_block = threading.Event()
         map_blocks = expectation._map_blocks
@@ -618,8 +623,7 @@ class TestThreadCount:
             return block
 
         monkeypatch.setattr(expectation, "_map_blocks", clearing)
-        for name in ("_estep_block", "_count_block"):
-            monkeypatch.setattr(expectation, name, waiting_for_the_helper(getattr(expectation, name)))
+        monkeypatch.setattr(expectation, "_estep_block", waiting_for_the_helper(expectation._estep_block))
         estep_calls = []
         estep = expectation.estep
 
@@ -638,14 +642,11 @@ class TestThreadCount:
         try:
             with ThreadPoolExecutor(1) as pool:  # its thread starts under the profiler
                 run_blocks_on(pool, monkeypatch)
-                post, _ = posterior(data, prob, grid)
-                expected_counts(data, post)
-                observed_loglik(data, prob, grid)
                 em_ols.fit(data, FitConfig(model=ModelKind.TWO_PL, n_quads=grid.size, max_iter=1))
         finally:
             threading.setprofile(None)
         assert len(estep_calls) == 2
-        assert called == {"work_through_blocks", "_estep_block", "_count_block", "_node_major_counts"}
+        assert called == {"work_through_blocks", "_estep_block"}
 
     def test_forked_child_does_not_reuse_the_pool(self, wide_table, helper_thread, monkeypatch):
         """A multi-block fit in the parent, then the same fit in a forked child."""

@@ -87,14 +87,18 @@ def response_prob_matrix(a: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> 
 # several tables holds at most BLOCK_ROWS rows in all, so it is one block
 # too, and its posterior is no larger than one block's.  Only estep takes
 # a larger table; its blocks run through one fused kernel (_estep_block):
-# one product, one exp, and the counts taken while the block is in cache,
-# with no posterior kept.  A one-block stack keeps the two-product
+# two np.dot products of the block's patterns and a row of ones, one exp
+# and one scaling pass, with the counts taken while the block is in cache
+# and no posterior kept.  A one-block stack keeps the two-product
 # row-major arithmetic, bit for bit, so that every study CSV stays
 # byte-identical until the reference is re-recorded.
 BLOCK_ROWS = 2048
 
 # The caller and _helpers pool threads work through the blocks of a larger
-# table together; numpy's matmul, exp, log and reductions release the GIL.
+# table together.  np.dot, exp, log and the reductions release the GIL, so
+# the blocks overlap.  matmul (@) holds it on the counts product's
+# transposed operands: a pure-Python thread ran at half its idle rate
+# beside it, and at 0.95-1.03 beside np.dot on the same operands.
 # _helpers is one less than the cores this process may use, set on first
 # use; the pool is created when it is first needed.
 _helpers: int | None = None
@@ -296,7 +300,10 @@ def _log_normalisers(stack, prob, grid, post=None) -> np.ndarray:
     log-joint product with one stacked matmul into the (rows, T) buffers:
     it makes one product per table, over that table's own rows, as a
     one-table call does.  The rest is row-local and runs once over all of
-    the rows, reducing over the short node axis of each row.  This keeps
+    the rows.  Each row's peak is taken node-major, over a contiguous
+    (T, rows) copy, several times faster than along its few nodes and
+    exact in any order; the log-sum-exp sum stays on the row-major node
+    axis, whose summation order is numpy's.  This keeps
     the two-product form x log P + (1 - x) log(1 - P): _estep_block's one
     product rounds differently, and every study CSV must stay
     byte-identical until the benchmark's reference is re-recorded
@@ -313,7 +320,7 @@ def _log_normalisers(stack, prob, grid, post=None) -> np.ndarray:
         np.matmul(run.x_c, log_q[run.fits], out=part[run.rows].reshape(run.shape))
     log_joint += part
     log_joint += grid.log_weights
-    peak = np.maximum.reduce(log_joint, axis=-1, keepdims=True)
+    peak = np.maximum.reduce(log_joint.T.copy(), axis=0)[:, None]
     norm = peak + np.log(np.add.reduce(np.exp(log_joint - peak), axis=-1, keepdims=True))
     if post is not None:
         log_joint -= norm
@@ -321,47 +328,51 @@ def _log_normalisers(stack, prob, grid, post=None) -> np.ndarray:
     return norm
 
 
-def _estep_block(rows, stack, log_odds, base, norm):
-    """One pass over a row block of a table larger than BLOCK_ROWS: its N_t and N1.
+def _estep_block(rows, stack, weights, norm):
+    """One pass over a row block of a table larger than BLOCK_ROWS: its counts.
 
-    log_odds is the table's (I, T) log P - log(1 - P) and base the (T, 1)
-    sum over items of log(1 - P) plus the log weights, so that the block's
-    (T, rows) log joint x log P + (1 - x) log(1 - P) + log A is one product
-    plus base.  The block works node-major: its peak and sums reduce over
-    contiguous rows, about ten times faster at T = 10 than over each row's
-    T nodes.  One in-place exp of the log joint less its peak gives the
-    sums, and norm[rows] = peak + log(sums).  The block is then divided by
-    its sums into its posterior and weighted by the frequencies in place,
-    and the block's (1, T) N_t and (1, I, T) N1 are returned.
+    The block's float operand is its (I + 1, rows) patterns with a last row
+    of ones, and weights is the table's (I + 1, T): log P - log(1 - P) per
+    item and, last, the sum over items of log(1 - P) plus the log weights.
+    So one product gives the block's (T, rows) log joint
+    x log P + (1 - x) log(1 - P) + log A.  The block works node-major: its
+    peak and sums reduce over contiguous rows, about ten times faster at
+    T = 10 than over each row's T nodes.  One in-place exp of the log joint
+    less its peak gives the sums, and norm[rows] = peak + log(sums).  One
+    in-place scaling by the frequencies over the sums turns the block into
+    its frequency-weighted posterior, and the second product returns its
+    (I + 1, T) counts: N1 per item and, from the ones row, N_t.  Both
+    products are np.dot, which releases the GIL (see _helpers).
     """
-    x_b = stack.patterns[rows].astype(np.float64)
-    block = log_odds.T @ x_b.T
-    block += base
+    patterns = stack.patterns[rows]
+    operand = np.empty((len(weights), len(patterns)))
+    operand[:-1] = patterns.T
+    operand[-1] = 1.0
+    block = np.dot(weights.T, operand)
     peak = np.maximum.reduce(block, axis=0)
     block -= peak
     np.exp(block, out=block)
     sums = np.add.reduce(block, axis=0)
     np.add(peak, np.log(sums), out=norm[rows, 0])
-    block /= sums
-    block *= stack.float_freqs[rows]
-    return np.add.reduce(block, axis=1)[None], (x_b.T @ block.T)[None]
+    block *= stack.float_freqs[rows] / sums
+    return np.dot(operand, block.T)
 
 
 def _blocks_pass(stack, prob, grid) -> tuple[np.ndarray, ExpectedCounts]:
     """_estep_block over every block of a one-table stack: (norm, counts).
 
-    prob is the stack's (1, J, T) probability matrix; norm is (rows, 1),
-    and counts the (1, J, T) and (1, T) ExpectedCounts: the first block's,
-    plus each further block's, in block order.
+    prob is the stack's (1, J, T) probability matrix, from which the
+    blocks' (J + 1, T) weights are made once.  norm is (rows, 1), and
+    counts the (1, J, T) and (1, T) ExpectedCounts: the first block's, plus
+    each further block's, in block order.
     """
     log_p, log_q = np.log(prob[0]), np.log1p(-prob[0])
-    base = (np.add.reduce(log_q, axis=0) + grid.log_weights)[:, None]
+    weights = np.vstack((log_p - log_q, np.add.reduce(log_q, axis=0) + grid.log_weights))
     norm = np.empty((stack.n_patterns, 1))
-    (nt, n1), *rest = _map_blocks(_estep_block, stack.n_patterns, stack, log_p - log_q, base, norm)
-    for nt_b, n1_b in rest:
-        nt += nt_b
-        n1 += n1_b
-    return norm, ExpectedCounts(n1=n1, nt=nt)
+    counts, *rest = _map_blocks(_estep_block, stack.n_patterns, stack, weights, norm)
+    for counts_b in rest:
+        counts += counts_b
+    return norm, ExpectedCounts(n1=counts[None, :-1], nt=counts[None, -1])
 
 
 def _logliks(stack: PatternStack, norm: np.ndarray) -> list:
@@ -399,7 +410,8 @@ def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: Quadratu
     row-local and runs once over the stack.  So every fit gets the values
     of a call on its table alone, bit for bit.
 
-    A table over BLOCK_ROWS rows raises ValueError: only estep takes it.
+    A table over BLOCK_ROWS rows raises ValueError: only estep takes it,
+    through its block kernel, which rounds differently.
     """
     stack = _one_block(data)
     prob = prob if stack is data else prob[None]
@@ -421,9 +433,10 @@ def estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
     Returns (logliks, counts).  A one-block stack gives the logliks of
     posterior(stack, prob, grid) and the counts of expected_counts on its
     post, bit for bit.  A table larger than BLOCK_ROWS makes one pass per
-    block and keeps no posterior, each block running _estep_block once and
-    converting its float rows once; its values agree with the whole-table
-    formulas to about 1e-12 relative.
+    block and keeps no posterior: each block runs _estep_block once, which
+    builds the block's float operand once and makes two np.dot products,
+    one exp and one scaling pass.  Its values agree with the whole-table
+    formulas to about 1e-12 relative, at any thread count bit for bit.
     """
     if stack.operands is not None:
         post, logliks = posterior(stack, prob, grid)

@@ -25,7 +25,7 @@ from emirt.expectation import (
 )
 from emirt.model import ItemParams, ModelKind, irf
 from emirt.patterns import PatternData, tabulate
-from emirt.quadrature import QuadratureGrid, normal_grid
+from emirt.quadrature import MAX_POINTS, QuadratureGrid, normal_grid
 from emirt.simgen import generate
 
 SIG1 = 1.0 / (1.0 + math.exp(-1.0))  # 0.731058...
@@ -303,14 +303,16 @@ def wide_table(wide_data):
 # contiguous run of 8 or more values in another order than a shorter one.
 # T = 10 keeps the case's plain id.
 NODE_COUNTS = (4, 7, 8, 10, 21)
+# The blocked E-step's ones-row operand at the fewest and the most nodes too.
+EDGE_NODE_COUNTS = NODE_COUNTS + (1, 2, MAX_POINTS)
 
 
-def node_count_cases(*ids):
+def node_count_cases(*ids, node_counts=NODE_COUNTS):
     """(id value, T) parameters for every id value and node count."""
     return [
         pytest.param(value, n_quads, id=f"{value}" if n_quads == 10 else f"{value}-T{n_quads}")
         for value in ids
-        for n_quads in NODE_COUNTS
+        for n_quads in node_counts
     ]
 
 
@@ -327,10 +329,10 @@ def one_table_estep(data, prob, grid):
     return loglik, counts.n1[0], counts.nt[0]
 
 
-def run_blocks_on(pool, monkeypatch):
-    """Share multi-block E-steps with pool's one thread, or run them inline when pool is None."""
+def run_blocks_on(pool, monkeypatch, helpers=1):
+    """Share multi-block E-steps with helpers of pool's threads, or run them inline when pool is None."""
     monkeypatch.setattr(expectation, "_pool", pool)
-    monkeypatch.setattr(expectation, "_helpers", 0 if pool is None else 1)
+    monkeypatch.setattr(expectation, "_helpers", 0 if pool is None else helpers)
 
 
 def fit_repr(result):
@@ -342,7 +344,10 @@ def fit_repr(result):
 
 
 class TestBlockedEStep:
-    @pytest.mark.parametrize("block_rows, n_quads", node_count_cases(1, 7, expectation.BLOCK_ROWS))
+    @pytest.mark.parametrize(
+        "block_rows, n_quads",
+        node_count_cases(1, 7, expectation.BLOCK_ROWS, node_counts=EDGE_NODE_COUNTS),
+    )
     def test_matches_whole_table_formulas(self, wide_data, block_rows, n_quads, monkeypatch):
         monkeypatch.setattr(expectation, "BLOCK_ROWS", block_rows)
         data, prob, grid = wide_instance(wide_data, n_quads)
@@ -520,7 +525,10 @@ def _fit_in_child(data, cfg, conn):
 class TestThreadCount:
     """The E-step's blocks give the same bits on the thread pool as inline."""
 
-    @pytest.mark.parametrize("block_rows, n_quads", node_count_cases(7, expectation.BLOCK_ROWS))
+    @pytest.mark.parametrize(
+        "block_rows, n_quads",
+        node_count_cases(7, expectation.BLOCK_ROWS, node_counts=EDGE_NODE_COUNTS),
+    )
     def test_estep_is_identical_on_pool_and_inline(
         self, wide_data, block_rows, n_quads, helper_thread, monkeypatch
     ):
@@ -531,6 +539,18 @@ class TestThreadCount:
             run_blocks_on(pool, monkeypatch)
             results.append(one_table_estep(data, prob, grid))
         (ll_p, n1_p, nt_p), (ll_i, n1_i, nt_i) = results
+        assert ll_p == ll_i
+        assert np.array_equal(n1_p, n1_i) and np.array_equal(nt_p, nt_i)
+
+    def test_estep_is_identical_on_three_helpers_and_inline(self, wide_data, monkeypatch):
+        """Four threads at once on 7-row blocks: the blocks overlap, the bits do not move."""
+        monkeypatch.setattr(expectation, "BLOCK_ROWS", 7)
+        data, prob, grid = wide_instance(wide_data, 10)
+        with ThreadPoolExecutor(3) as pool:
+            run_blocks_on(pool, monkeypatch, helpers=3)
+            ll_p, n1_p, nt_p = one_table_estep(data, prob, grid)
+        run_blocks_on(None, monkeypatch)
+        ll_i, n1_i, nt_i = one_table_estep(data, prob, grid)
         assert ll_p == ll_i
         assert np.array_equal(n1_p, n1_i) and np.array_equal(nt_p, nt_i)
 

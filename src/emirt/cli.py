@@ -17,14 +17,14 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, em_ols, simgen
 from .em_ols import FitConfig, FitResult
 from .model import ItemParams, ModelKind
-from .patterns import IngestionError, load_response_csv, tabulate
+from .patterns import load_response_csv, tabulate
 from .simgen import StudyDesign, StudySummary, is_outlier
 
 SCHEMA_VERSION = 5
@@ -58,28 +58,21 @@ FIT_CSV_COLUMNS = (
 )
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seed: int | None
-    version: str
-    started_utc: str
-    finished_utc: str
-    input_digest: str
-
-
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _digest_bytes(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _digest_config(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return _digest_bytes(canonical.encode())
+def _manifest(command: str, config: dict, seed: int | None, started: str, digested: bytes) -> dict:
+    """The run record every command writes; input_digest is the sha256 of digested."""
+    return {
+        "command": command,
+        "config": config,
+        "seed": seed,
+        "version": __version__,
+        "started_utc": started,
+        "finished_utc": _utcnow(),
+        "input_digest": hashlib.sha256(digested).hexdigest(),
+    }
 
 
 def _json_text(payload) -> str:
@@ -95,10 +88,6 @@ def _json_text(payload) -> str:
         return value
 
     return json.dumps(finite(payload), indent=2, allow_nan=False) + "\n"
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -125,11 +114,11 @@ def _estimator_list(flag: str) -> tuple[str, ...]:
 
 
 def _csv_cell(value):
-    """A CSV cell by type: floats by _fmt, flag lists joined by ';', booleans as 0/1."""
+    """A CSV cell by type: floats by repr, flag lists joined by ';', booleans as 0/1."""
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, float):
-        return _fmt(value)
+        return repr(float(value))
     if isinstance(value, list):
         return ";".join(value)
     return value
@@ -181,13 +170,8 @@ def _fit_block(result: FitResult, model: ModelKind, estimator: str) -> dict:
 def cmd_fit(args) -> int:
     started = _utcnow()
     data_path = Path(args.data)
-    try:
-        raw = data_path.read_bytes()
-        matrix = load_response_csv(data_path, raw)
-        data = tabulate(matrix)
-    except (OSError, IngestionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    raw = data_path.read_bytes()
+    data = tabulate(load_response_csv(data_path, raw))
 
     model = ModelKind(args.model)
     cfg = FitConfig(model=model, n_quads=args.n_quads, tol=args.tol, max_iter=args.max_iter)
@@ -196,30 +180,13 @@ def cmd_fit(args) -> int:
         for estimator in _estimator_list(args.estimator)
     ]
 
-    config = {
-        "data": str(data_path),
-        "model": args.model,
-        "estimator": args.estimator,
-        "n_quads": args.n_quads,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "format": args.format,
-        "out": str(args.out),
-    }
-    manifest = RunManifest(
-        command="fit",
-        config=config,
-        seed=None,
-        version=__version__,
-        started_utc=started,
-        finished_utc=_utcnow(),
-        input_digest=_digest_bytes(raw),
-    )
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    manifest = _manifest("fit", flags, None, started, raw)
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        payload: dict = {"schema_version": SCHEMA_VERSION, "manifest": asdict(manifest)}
+        payload: dict = {"schema_version": SCHEMA_VERSION, "manifest": manifest}
         if len(blocks) == 1:
             block = dict(blocks[0])
             block.pop("estimator")
@@ -233,7 +200,7 @@ def cmd_fit(args) -> int:
         out_path.write_text(_json_text(payload), encoding="utf-8")
     else:
         manifest_path = Path(str(out_path) + ".manifest.json")
-        manifest_path.write_text(_json_text(asdict(manifest)), encoding="utf-8")
+        manifest_path.write_text(_json_text(manifest), encoding="utf-8")
         rows = [{"item": i["index"], **block, **i} for block in blocks for i in block["items"]]
         _write_csv(out_path, manifest_path.name, FIT_CSV_COLUMNS, rows)
     print(f"wrote {out_path}")
@@ -317,15 +284,8 @@ def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
         "workers": args.workers,
         "out": str(args.out),
     }
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=args.seed,
-        version=__version__,
-        started_utc=started,
-        finished_utc=_utcnow(),
-        input_digest=_digest_config(config),
-    )
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    manifest = _manifest(command, config, args.seed, started, canonical.encode())
 
     stem = Path(args.out)
     if stem.suffix in (".csv", ".json"):
@@ -337,7 +297,7 @@ def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
 
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "manifest": asdict(manifest),
+        "manifest": manifest,
         **_summary_json(summary),
     }
     json_path.write_text(_json_text(payload), encoding="utf-8")

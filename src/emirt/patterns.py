@@ -185,6 +185,17 @@ def _parse_strict(raw: bytes) -> np.ndarray | None:
 
 def _parse_csv(raw: bytes, path: str | Path) -> np.ndarray:
     """Parse any response CSV with the csv module, locating malformed cells."""
+    try:
+        # all at once: the reader's decoder reads ahead in chunks, so the
+        # row it has reached is not the row of the bad byte
+        raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.start counts from after a byte-order mark; the csv module ends
+        # a line at "\r\n", "\n" or a lone "\r"
+        body = raw[3:] if raw.startswith(b"\xef\xbb\xbf") else raw
+        head = body[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        message = f"not UTF-8 at byte {body[exc.start]:#04x}: {exc.reason}"
+        raise IngestionError(message, row=head.count(b"\n") + 1) from exc
     rows: list[list[int]] = []
     width: int | None = None
     with io.TextIOWrapper(io.BytesIO(raw), newline="", encoding="utf-8-sig") as fh:

@@ -75,12 +75,8 @@ def hermite_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
 
     # Jacobi matrix for Hermite polynomials: zero diagonal, off-diagonal sqrt(i/2)
     off = np.sqrt(np.arange(1, n_points) / 2.0)
-    jacobi = np.diag(off, 1) + np.diag(off, -1) if n_points > 1 else np.zeros((1, 1))
-    eigvals, eigvecs = np.linalg.eigh(jacobi)
-
-    order = np.argsort(eigvals)
-    nodes = eigvals[order]
-    weights = math.sqrt(math.pi) * eigvecs[0, order] ** 2
+    nodes, eigvecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))  # ascending
+    weights = math.sqrt(math.pi) * eigvecs[0] ** 2
 
     # enforce exact symmetry (eigh leaves O(1e-15) asymmetry)
     nodes = 0.5 * (nodes - nodes[::-1])

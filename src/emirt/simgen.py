@@ -43,6 +43,8 @@ class StudyDesign:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if self.n_persons < 1:
             raise ValueError(f"n_persons must be >= 1, got {self.n_persons}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.t_list:
             raise ValueError("t_list must be nonempty")
         if len(set(self.t_list)) < len(self.t_list):

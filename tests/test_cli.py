@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its file formats."""
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,10 @@ from emirt.cli import STUDY_CSV_COLUMNS, build_parser, main
 from emirt.em_ols import FitConfig
 from emirt.model import ItemParams, ModelKind
 from emirt.simgen import generate
+
+MANIFEST_KEYS = [
+    "command", "config", "seed", "version", "started_utc", "finished_utc", "input_digest",
+]
 
 
 def read_study_csv(path):
@@ -69,8 +74,6 @@ class TestFit:
 
     def test_reads_the_data_file_once(self, response_csv, tmp_path, monkeypatch):
         """The manifest digest and the fit come from one read of the file."""
-        import hashlib
-
         reads = []
         read_bytes = Path.read_bytes
 
@@ -139,6 +142,21 @@ class TestFit:
             ["fit", str(tmp_path / "nope.csv"), "--model", "1pl", "--out", str(tmp_path / "o.json")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("data", ["directory", "non_utf8_byte"])
+    def test_input_error_is_one_error_line(self, tmp_path, capsys, data):
+        """An input error, whatever raises it, reaches main's one handler."""
+        path = tmp_path / "data"
+        if data == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"a,b\n1,0\n0,\xff\n")
+        out = tmp_path / "o.json"
+        assert main(["fit", str(path), "--model", "1pl", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert data == "directory" or "row 3" in lines[0]
+        assert not out.exists()
 
     def test_nonconvergence_exits_two_but_writes(self, response_csv, tmp_path):
         out = tmp_path / "fit.json"
@@ -244,6 +262,17 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "quadstudy"])
+def test_negative_seed_exits_one_without_output(tmp_path, capsys, command):
+    code = main(
+        [command, "--model", "1pl", "--reps", "2", "--seed", "-1",
+         "--out", str(tmp_path / "out" / "s")]
+    )
+    assert code == 1
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestQuadstudy:
     def test_too_many_nodes_exit_one_without_output(self, tmp_path, capsys):
         code = main(
@@ -337,6 +366,40 @@ class TestQuadstudy:
         assert code == 0
         rows = read_study_csv(out.with_suffix(".csv"))
         assert sorted({r["n_quads"] for r in rows}) == [2, 3, 4, 5, 8, 10, 15]
+
+
+class TestManifest:
+    """Every command writes one run record: the same seven keys, in one order."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fit_records_its_flags(self, response_csv, tmp_path, fmt):
+        out = tmp_path / f"fit.{fmt}"
+        argv = ["fit", str(response_csv), "--model", "1pl", "--n-quads", "2",
+                "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        if fmt == "json":
+            manifest = json.loads(out.read_text())["manifest"]
+        else:
+            manifest = json.loads((tmp_path / "fit.csv.manifest.json").read_text())
+        assert list(manifest) == MANIFEST_KEYS
+        assert (manifest["command"], manifest["seed"]) == ("fit", None)
+        assert manifest["version"] == emirt.__version__
+        assert manifest["config"] == {
+            "data": str(response_csv), "model": "1pl", "estimator": "ols", "n_quads": 2,
+            "tol": FitConfig.tol, "max_iter": FitConfig.max_iter, "out": str(out), "format": fmt,
+        }
+
+    @pytest.mark.parametrize("command", ["simulate", "quadstudy"])
+    def test_study_digests_its_canonical_config(self, tmp_path, command):
+        out = tmp_path / "s"
+        argv = [command, "--model", "1pl", "--reps", "1", "--n-persons", "200", "--seed", "4",
+                "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads(out.with_suffix(".json").read_text())["manifest"]
+        assert list(manifest) == MANIFEST_KEYS
+        assert (manifest["command"], manifest["seed"]) == (command, 4)
+        canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+        assert manifest["input_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @pytest.mark.parametrize(

@@ -195,8 +195,6 @@ def _outcome(parse, path):
         return (matrix.dtype, matrix.flags.writeable, matrix.tolist())
     except IngestionError as exc:
         return (str(exc), exc.row, exc.col)
-    except UnicodeDecodeError as exc:
-        return (type(exc).__name__, exc.start, exc.reason)
 
 
 class TestLoaderDifferential:
@@ -227,6 +225,18 @@ class TestLoaderDifferential:
         with pytest.raises(IngestionError) as err:
             load_response_csv(path)
         assert (err.value.row, err.value.col) == (2, 2)
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["bare", "bom"])
+    def test_non_utf8_byte_keeps_its_row(self, tmp_path, bom, eol):
+        """A byte that is not UTF-8 is an IngestionError at its own row; a
+        decoder that reads ahead in chunks would report a later one."""
+        path = tmp_path / "r.csv"
+        path.write_bytes(bom + LOADER_INPUTS["non_utf8_byte"].replace(b"\n", eol))
+        with pytest.raises(IngestionError) as err:
+            load_response_csv(path)
+        assert (err.value.row, err.value.col) == (3, None)
+        assert "0xff" in str(err.value)
 
     def test_strict_file_never_reaches_csv_reader(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

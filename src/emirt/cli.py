@@ -284,7 +284,9 @@ def _run_study(args, command: str, t_list: tuple[int, ...]) -> int:
         "workers": args.workers,
         "out": str(args.out),
     }
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    # the rows depend on neither the output stem nor the worker count, so the digest covers neither
+    digested = {key: value for key, value in config.items() if key not in ("workers", "out")}
+    canonical = json.dumps(digested, sort_keys=True, separators=(",", ":"))
     manifest = _manifest(command, config, args.seed, started, canonical.encode())
 
     stem = Path(args.out)

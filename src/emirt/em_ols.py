@@ -51,17 +51,9 @@ class DegenerateNodeError(ValueError):
         super().__init__(f"no expected mass at quadrature node {node_index}")
         self.node_index = node_index
 
-
-@dataclass(frozen=True)
-class LatentResponseTable:
-    """Log-odds of expected correct proportions per item and node.
-
-    clamped marks cells where the proportion clamp was active, i.e. the
-    log-odds value is a saturated ±log_odds_cap rather than a measurement.
-    """
-
-    y: np.ndarray
-    clamped: np.ndarray
+    def __reduce__(self):
+        # rebuilt from its index, not its message, when a study process sends it
+        return type(self), (self.node_index,)
 
 
 @dataclass(frozen=True)
@@ -122,26 +114,25 @@ class FitResult:
         return self.phi_max_trace[-1] if self.phi_max_trace else math.nan
 
 
-def latent_responses(counts: ExpectedCounts, eps: float) -> LatentResponseTable:
-    """Log-odds y = logit(N1 / N_t) with the proportion clamp applied.
+def latent_responses(counts: ExpectedCounts, eps: float) -> np.ndarray:
+    """Log-odds y = logit(N1 / N_t), the proportions clamped to [eps, 1 - eps].
 
-    Works over leading axes: n1 of shape (J, T) or (R, J, T) gives y and
-    clamped of that shape.  Raises DegenerateNodeError, naming the node, if
-    a node has no expected mass.
+    Works over leading axes: n1 of shape (J, T) or (R, J, T) gives y of
+    that shape.  Raises DegenerateNodeError, naming the node, if a node has
+    no expected mass.
     """
     empty = counts.nt <= 0
     if empty.any():
         raise DegenerateNodeError(int(np.argwhere(empty)[0, -1]))
     prop = counts.n1 / counts.nt[..., None, :]
-    clamped = (prop < eps) | (prop > 1.0 - eps)
     prop = np.minimum(np.maximum(prop, eps), 1.0 - eps)  # np.clip, without its dispatch
-    return LatentResponseTable(y=np.log(prop / (1.0 - prop)), clamped=clamped)
+    return np.log(prop / (1.0 - prop))
 
 
 def ols_mstep(
-    table: LatentResponseTable, grid: QuadratureGrid, model: ModelKind
+    y: np.ndarray, grid: QuadratureGrid, model: ModelKind
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form regression of latent responses on the quadrature nodes.
+    """Closed-form regression of the latent log-odds y on the quadrature nodes.
 
     2PL: a_j is the OLS slope of y_j on theta (unweighted over nodes),
     tau_j the intercept, and b_j = -tau_j / a_j.  1PL: the slope is pinned
@@ -150,13 +141,12 @@ def ols_mstep(
     Returns the new (a, b) arrays and a per-item boolean array marking
     slopes too close to zero to invert; those items get the sentinel
     difficulty ±B_CAP (and a = A_MIN where the slope is exactly zero).
-    A (J, T) table gives (J,) arrays, and an (R, J, T) stack of R fits'
-    tables gives (R, J) arrays whose rows are bit-identical to each fit's
-    own.
+    A (J, T) y gives (J,) arrays, and an (R, J, T) stack of R fits' y
+    gives (R, J) arrays whose rows are bit-identical to each fit's own.
     """
     theta_bar, centered, denom = grid.node_moments
     # the mean as add.reduce / count, the arithmetic of ndarray.mean
-    y_bar = np.add.reduce(table.y, axis=-1) / table.y.shape[-1]
+    y_bar = np.add.reduce(y, axis=-1) / y.shape[-1]
 
     if model is ModelKind.ONE_PL:
         tau = y_bar - theta_bar
@@ -165,7 +155,7 @@ def ols_mstep(
     if grid.size < 2:
         raise ValueError("the 2PL OLS step needs at least 2 quadrature points")
     # a stacked matmul makes one product per (J, T) slice, as a single fit does
-    slopes = (table.y - y_bar[..., None]) @ centered / denom
+    slopes = (y - y_bar[..., None]) @ centered / denom
     taus = y_bar - slopes * theta_bar
 
     degenerate = np.abs(slopes) < A_MIN

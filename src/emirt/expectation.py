@@ -45,10 +45,9 @@ class ExpectedCounts:
     n1 : (..., J, T) expected number of correct responses
     nt : (..., T)    expected number of persons at each node
 
-    expected_counts gives one table's (J, T) and (T,) arrays, or, for a
-    PatternStack of R tables, (R, J, T) and (R, T) arrays whose slices are
-    each table's own, as estep does; the lockstep EM loop gathers the
-    stacks' counts along a leading replication axis.
+    For a PatternStack of R tables, expected_counts and estep give (R, J, T)
+    and (R, T) arrays whose slices are each table's own; the lockstep EM
+    loop gathers the stacks' counts along a leading replication axis.
     """
 
     n1: np.ndarray
@@ -280,15 +279,13 @@ class PatternStack:
         return self.patterns.shape[1]
 
 
-def _one_block(data: PatternData | PatternStack) -> PatternStack:
-    """data's stack, if it is one block; a table over BLOCK_ROWS rows raises ValueError."""
-    stack = data if isinstance(data, PatternStack) else PatternStack.of([data])
+def _one_block(stack: PatternStack) -> None:
+    """Raise ValueError for a stack over BLOCK_ROWS rows: only estep takes it."""
     if stack.operands is None:
         raise ValueError(
             f"a table of {stack.n_patterns} patterns spans several blocks of {BLOCK_ROWS} rows; "
             "only estep takes it"
         )
-    return stack
 
 
 def _log_normalisers(stack, prob, grid, post=None) -> np.ndarray:
@@ -309,8 +306,9 @@ def _log_normalisers(stack, prob, grid, post=None) -> np.ndarray:
     byte-identical until the benchmark's reference is re-recorded
     (ROADMAP item 3).
     """
-    if prob.shape[1] != stack.n_items:
-        raise ValueError(f"expected {stack.n_items} item parameters, got {prob.shape[1]}")
+    want = (len(stack.tables), stack.n_items, grid.size)
+    if prob.shape != want:
+        raise ValueError(f"expected probabilities of shape {want}, got {prob.shape}")
     log_p, log_q = np.log(prob), np.log1p(-prob)
     log_joint = np.empty((len(stack.patterns), log_p.shape[-1]))
     # the second product can go into post, which the exp below overwrites
@@ -390,40 +388,23 @@ def _logliks(stack: PatternStack, norm: np.ndarray) -> list:
     return logliks
 
 
-def posterior(data: PatternData | PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
-    """Posterior P(theta_t | X) over nodes and the observed log-likelihood.
+def posterior(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
+    """Posterior P(theta_t | X) over nodes and each fit's observed log-likelihood.
 
-    For one table, prob is the clamped (J, T) response_prob_matrix of the
-    parameter set.  Returns (post, loglik).  post has one row per pattern,
-    normalized with log-sum-exp so that each row sums to one.  The row
-    normalizers are the pattern log-likelihoods log sum_t P(X|theta_t) A_t,
-    so their frequency-weighted sum is the observed log-likelihood,
-    bit-identical to observed_loglik at the same parameters.  Raises
-    PosteriorUnderflowError when a pattern's likelihood underflows.
-
-    For a PatternStack of R tables of any lengths, prob is the (R, J, T)
-    stack of their matrices.  Returns (post, logliks): post is (rows, T),
-    the tables' posteriors in their order, and logliks[r] is fit r's
-    log-likelihood or its PosteriorUnderflowError.  The log-joint products
-    and the log-likelihoods' sums make one stacked call per run of equally
-    long tables, one product per table over its own rows; the rest is
-    row-local and runs once over the stack.  So every fit gets the values
-    of a call on its table alone, bit for bit.
-
-    A table over BLOCK_ROWS rows raises ValueError: only estep takes it,
+    prob is the (R, J, T) stack of the R tables' clamped
+    response_prob_matrix.  Returns (post, logliks): post is (rows, T), each
+    row normalized by its pattern log-likelihood log sum_t P(X|theta_t) A_t,
+    and logliks[r] is fit r's frequency-weighted sum of those, or its
+    PosteriorUnderflowError.  Each run of equally long tables makes one
+    stacked call per product and sum, one product per table over its own
+    rows, so every fit gets the values of its one-table stack, bit for bit.
+    A stack over BLOCK_ROWS rows raises ValueError: only estep takes it,
     through its block kernel, which rounds differently.
     """
-    stack = _one_block(data)
-    prob = prob if stack is data else prob[None]
+    _one_block(stack)
     post = np.empty((stack.n_patterns, grid.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        logliks = _logliks(stack, _log_normalisers(stack, prob, grid, post))
-    if stack is data:
-        return post, logliks
-    (loglik,) = logliks
-    if isinstance(loglik, PosteriorUnderflowError):
-        raise loglik
-    return post, loglik
+        return post, _logliks(stack, _log_normalisers(stack, prob, grid, post))
 
 
 def estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
@@ -446,37 +427,34 @@ def estep(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> tuple:
         return _logliks(stack, norm), counts
 
 
-def expected_counts(data: PatternData | PatternStack, post: np.ndarray) -> ExpectedCounts:
-    """Expected per-node counts N1_jt and N_t from a posterior table.
+def expected_counts(stack: PatternStack, post: np.ndarray) -> ExpectedCounts:
+    """Expected counts N1 (R, J, T) and N_t (R, T) from a stack's (rows, T) posterior.
 
-    A table and its (P, T) posterior give (J, T) and (T,) counts.  A
-    PatternStack of R tables and its (rows, T) posterior give (R, J, T)
-    and (R, T), each fit's slice that of a call on its table alone, bit
-    for bit: each count is one stacked product per run of equally long
-    tables.  A table over BLOCK_ROWS rows raises ValueError: only estep
-    takes it.
+    Each count is one stacked product per run of equally long tables, so
+    each fit's slice is that of its one-table stack, bit for bit.  A stack
+    over BLOCK_ROWS rows raises ValueError: only estep takes it.
     """
-    stack = _one_block(data)
+    _one_block(stack)
     nt = np.empty((len(stack.tables), post.shape[1]))
     n1 = np.empty((len(stack.tables), stack.n_items, post.shape[1]))
     for run in stack.runs:
         post_r = post[run.rows].reshape(run.shape)
         nt[run.fits] = (run.freqs @ post_r)[:, 0]
         np.matmul(run.xf_t, post_r, out=n1[run.fits])
-    if stack is not data:
-        n1, nt = n1[0], nt[0]
     return ExpectedCounts(n1=n1, nt=nt)
 
 
-def observed_loglik(data: PatternData, prob: np.ndarray, grid: QuadratureGrid) -> float:
-    """Marginal log-likelihood sum_X N_X log sum_t P(X|theta_t) A_t.
+def observed_loglik(stack: PatternStack, prob: np.ndarray, grid: QuadratureGrid) -> list:
+    """The logliks of posterior(stack, prob, grid), without a posterior.
 
-    The EM loop takes this value from estep; this function computes it on
-    its own and is the reference the fit traces are tested against.  A
-    table over BLOCK_ROWS rows raises ValueError: only estep takes it.
+    Each is a fit's sum_X N_X log sum_t P(X|theta_t) A_t or its
+    PosteriorUnderflowError.  The EM loop takes them from estep; this is
+    the reference the fit traces are tested against.  A stack over
+    BLOCK_ROWS rows raises ValueError: only estep takes it.
     """
-    norm = _log_normalisers(_one_block(data), prob[None], grid)
-    return float(data.float_freqs @ norm[:, 0])
+    _one_block(stack)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _logliks(stack, _log_normalisers(stack, prob, grid))
 
 
 def q1(prob: np.ndarray, counts: ExpectedCounts) -> float:

@@ -333,10 +333,12 @@ def replicate_study(
     split into min(workers, reps) contiguous runs, and that many processes
     fit one run each, cell by cell: the calling process fits the first run
     and starts one process for each further run.  Every such process has
-    ended when this returns or raises.  A worker count below 1 raises
-    ValueError.
+    ended when this returns or raises.  A worker count below 1, or an
+    empty or repeating estimator list, raises ValueError.
     """
     estimators = tuple(estimators)
+    if not estimators:
+        raise ValueError("estimators is empty: a study fits at least one estimator")
     for est in estimators:
         if est not in ESTIMATORS:
             raise ValueError(f"unknown estimator {est!r}; expected one of {ESTIMATORS}")

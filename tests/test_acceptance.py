@@ -372,7 +372,9 @@ def test_criterion_9_brute_force_loglik():
         prob = expectation.response_prob_matrix(
             np.array([p.a for p in params]), np.array([p.b for p in params]), grid
         )
-        worst = max(worst, abs(expectation.observed_loglik(data, prob, grid) - expected))
+        stack = expectation.PatternStack.of([data])
+        (loglik,) = expectation.observed_loglik(stack, prob[None], grid)
+        worst = max(worst, abs(loglik - expected))
     report(9, worst <= 1e-10, f"worst |loglik - enumeration| = {worst:.2e} (tol 1e-10)")
 
 

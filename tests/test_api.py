@@ -11,6 +11,7 @@ from emirt.patterns import tabulate
 from emirt.simgen import DEFAULT_TRUE_A, DEFAULT_TRUE_B, StudyDesign, generate
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -21,6 +22,16 @@ def test_every_exported_name_resolves():
 def test_fit_config_holds_the_four_fit_settings():
     names = [f.name for f in dataclasses.fields(FitConfig)]
     assert names == ["model", "n_quads", "max_iter", "tol"]
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    """The README's "Library use" block runs unchanged and prints one
+    converged fit per estimator."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.endswith("] True") for line in lines)
 
 
 def test_traced_names_exist(monkeypatch):

@@ -398,8 +398,25 @@ class TestManifest:
         manifest = json.loads(out.with_suffix(".json").read_text())["manifest"]
         assert list(manifest) == MANIFEST_KEYS
         assert (manifest["command"], manifest["seed"]) == (command, 4)
-        canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+        digested = {k: v for k, v in manifest["config"].items() if k not in ("workers", "out")}
+        assert set(manifest["config"]) - set(digested) == {"workers", "out"}
+        canonical = json.dumps(digested, sort_keys=True, separators=(",", ":"))
         assert manifest["input_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_study_digest_covers_neither_stem_nor_workers(self, tmp_path):
+        """One study written to two stems and run on two worker counts has one
+        digest and one set of rows; another seed has another digest."""
+        digests, rows = [], []
+        for stem, workers, seed in [("a", 1, 3), ("b", 1, 3), ("a2", 2, 3), ("c", 1, 4)]:
+            out = tmp_path / stem
+            argv = ["simulate", "--model", "1pl", "--reps", "2", "--n-persons", "100",
+                    "--seed", str(seed), "--workers", str(workers), "--out", str(out)]
+            assert main(argv) == 0
+            manifest = json.loads(out.with_suffix(".json").read_text())["manifest"]
+            digests.append(manifest["input_digest"])
+            rows.append(read_study_csv(out.with_suffix(".csv")))
+        assert digests[0] == digests[1] == digests[2] != digests[3]
+        assert rows[0] == rows[1] == rows[2]
 
 
 @pytest.mark.parametrize(

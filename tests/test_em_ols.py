@@ -12,7 +12,6 @@ from emirt.em_ols import (
     B_CAP,
     DegenerateNodeError,
     FitConfig,
-    LatentResponseTable,
     fit,
     latent_responses,
     log_odds_cap,
@@ -33,26 +32,29 @@ def grid_at(*nodes):
 class TestLatentResponses:
     def test_even_split_gives_zero(self):
         counts = ExpectedCounts(n1=np.array([[5.0]]), nt=np.array([10.0]))
-        table = latent_responses(counts, eps=1e-6)
-        assert table.y[0, 0] == 0.0
-        assert not table.clamped.any()
+        assert latent_responses(counts, eps=1e-6)[0, 0] == 0.0
 
     def test_three_quarters(self):
         counts = ExpectedCounts(n1=np.array([[7.5]]), nt=np.array([10.0]))
-        table = latent_responses(counts, eps=1e-6)
-        np.testing.assert_allclose(table.y, [[math.log(3)]], rtol=1e-14)
+        np.testing.assert_allclose(latent_responses(counts, eps=1e-6), [[math.log(3)]], rtol=1e-14)
 
     def test_empty_cell_is_clamped(self):
         counts = ExpectedCounts(n1=np.array([[0.0]]), nt=np.array([10.0]))
-        table = latent_responses(counts, eps=1e-6)
-        np.testing.assert_allclose(table.y, [[math.log(1e-6 / (1 - 1e-6))]], rtol=1e-12)
-        assert table.clamped.all()
+        y = latent_responses(counts, eps=1e-6)
+        np.testing.assert_allclose(y, [[math.log(1e-6 / (1 - 1e-6))]], rtol=1e-12)
 
     def test_empty_node_rejected(self):
         counts = ExpectedCounts(n1=np.array([[0.0, 1.0]]), nt=np.array([0.0, 2.0]))
         with pytest.raises(DegenerateNodeError) as err:
             latent_responses(counts, eps=1e-6)
         assert err.value.node_index == 0
+
+    def test_empty_node_error_survives_pickling(self):
+        """A study process sends its run's exception to the caller pickled."""
+        import pickle
+
+        err = pickle.loads(pickle.dumps(DegenerateNodeError(3)))
+        assert (str(err), err.node_index) == (str(DegenerateNodeError(3)), 3)
 
 
 class TestLogOddsCap:
@@ -67,36 +69,24 @@ class TestLogOddsCap:
 
 class TestOlsMstep:
     def test_exact_line_through_two_points(self):
-        table = LatentResponseTable(
-            y=np.array([[-1.0, 1.0]]), clamped=np.zeros((1, 2), bool)
-        )
-        a, b, degenerate = ols_mstep(table, grid_at(-1, 1), ModelKind.TWO_PL)
+        a, b, degenerate = ols_mstep(np.array([[-1.0, 1.0]]), grid_at(-1, 1), ModelKind.TWO_PL)
         assert a[0] == pytest.approx(1.0)
         assert b[0] == pytest.approx(0.0)
         assert degenerate.tolist() == [False]
 
     def test_exact_line_with_intercept(self):
-        table = LatentResponseTable(
-            y=np.array([[0.0, 2.0]]), clamped=np.zeros((1, 2), bool)
-        )
-        a, b, _ = ols_mstep(table, grid_at(-1, 1), ModelKind.TWO_PL)
+        a, b, _ = ols_mstep(np.array([[0.0, 2.0]]), grid_at(-1, 1), ModelKind.TWO_PL)
         assert a[0] == pytest.approx(1.0)
         assert -a[0] * b[0] == pytest.approx(1.0)
         assert b[0] == pytest.approx(-1.0)
 
     def test_three_point_slope(self):
-        table = LatentResponseTable(
-            y=np.array([[-2.0, 0.0, 2.0]]), clamped=np.zeros((1, 3), bool)
-        )
-        a, b, _ = ols_mstep(table, grid_at(-1, 0, 1), ModelKind.TWO_PL)
+        a, b, _ = ols_mstep(np.array([[-2.0, 0.0, 2.0]]), grid_at(-1, 0, 1), ModelKind.TWO_PL)
         assert a[0] == pytest.approx(2.0)
         assert b[0] == pytest.approx(0.0)
 
     def test_one_pl_intercept_only(self):
-        table = LatentResponseTable(
-            y=np.array([[0.3, 2.1]]), clamped=np.zeros((1, 2), bool)
-        )
-        a, b, degenerate = ols_mstep(table, grid_at(-1, 1), ModelKind.ONE_PL)
+        a, b, degenerate = ols_mstep(np.array([[0.3, 2.1]]), grid_at(-1, 1), ModelKind.ONE_PL)
         assert a[0] == 1.0
         assert b[0] == pytest.approx(-1.2)
         assert degenerate.tolist() == [False]
@@ -109,16 +99,13 @@ class TestOlsMstep:
         slopes[np.abs(slopes) < 0.05] = 0.5
         intercepts = rng.uniform(-3, 3, 3)
         y = slopes[:, None] * grid.nodes[None, :] + intercepts[:, None]
-        table = LatentResponseTable(y=y, clamped=np.zeros_like(y, bool))
-        a, b, _ = ols_mstep(table, grid, ModelKind.TWO_PL)
+        a, b, _ = ols_mstep(y, grid, ModelKind.TWO_PL)
         np.testing.assert_allclose(a, slopes, atol=1e-12)
         np.testing.assert_allclose(-a * b, intercepts, atol=1e-12)
 
     def test_flat_row_is_flagged(self):
-        table = LatentResponseTable(
-            y=np.array([[1.3, 1.3, 1.3]]), clamped=np.zeros((1, 3), bool)
-        )
-        a, b, degenerate = ols_mstep(table, grid_at(-1, 0, 1), ModelKind.TWO_PL)
+        y = np.array([[1.3, 1.3, 1.3]])
+        a, b, degenerate = ols_mstep(y, grid_at(-1, 0, 1), ModelKind.TWO_PL)
         assert degenerate.tolist() == [True]
         assert a[0] == A_MIN
         assert b[0] == math.copysign(B_CAP, 1.3)
@@ -133,8 +120,7 @@ class TestOlsMstep:
         if seed % 2:
             y[1] = 2.5  # zero slope
             y[2] = -1.0 + 1e-9 * grid.nodes  # slope far below A_MIN
-        table = LatentResponseTable(y=y, clamped=np.zeros_like(y, bool))
-        a, b, degenerate = ols_mstep(table, grid, ModelKind.TWO_PL)
+        a, b, degenerate = ols_mstep(y, grid, ModelKind.TWO_PL)
 
         theta_bar = grid.nodes.mean()
         y_bar = y.mean(axis=1)
@@ -151,9 +137,8 @@ class TestOlsMstep:
         assert degenerate.any() == bool(seed % 2)
 
     def test_two_pl_needs_two_nodes(self):
-        table = LatentResponseTable(y=np.array([[1.0]]), clamped=np.zeros((1, 1), bool))
         with pytest.raises(ValueError):
-            ols_mstep(table, grid_at(0), ModelKind.TWO_PL)
+            ols_mstep(np.array([[1.0]]), grid_at(0), ModelKind.TWO_PL)
 
 
 class TestMstepFixedPoint:
@@ -168,8 +153,8 @@ class TestMstepFixedPoint:
         ]
         nt = rng.uniform(5, 50, grid.size)
         n1 = np.array([[nt[t] * irf(p, grid.nodes[t]) for t in range(grid.size)] for p in params])
-        table = latent_responses(ExpectedCounts(n1=n1, nt=nt), eps=1e-6)
-        a, b, _ = ols_mstep(table, grid, ModelKind.TWO_PL)
+        y = latent_responses(ExpectedCounts(n1=n1, nt=nt), eps=1e-6)
+        a, b, _ = ols_mstep(y, grid, ModelKind.TWO_PL)
         np.testing.assert_allclose(a, [p.a for p in params], atol=1e-9)
         np.testing.assert_allclose(b, [p.b for p in params], atol=1e-9)
 
@@ -270,7 +255,8 @@ class TestLoglikReuse:
             prob = expectation.response_prob_matrix(
                 np.array([p.a for p in params]), np.array([p.b for p in params]), grid
             )
-            assert ll == expectation.observed_loglik(data, prob, grid)
+            stack = expectation.PatternStack.of([data])
+            assert [ll] == expectation.observed_loglik(stack, prob[None], grid)
 
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     def test_one_posterior_per_visited_set(self, estimator, monkeypatch):
@@ -384,8 +370,8 @@ class TestEdgeInputs:
         original = em_ols.ols_mstep
         calls = []
 
-        def breaks_on_third_call(table, grid, model):
-            a, b, degenerate = original(table, grid, model)
+        def breaks_on_third_call(y, grid, model):
+            a, b, degenerate = original(y, grid, model)
             calls.append(None)
             if len(calls) == 3:
                 {"a": a, "b": b}[param][..., 1] = value  # item 1 of every fit

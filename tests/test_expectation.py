@@ -38,12 +38,30 @@ def prob_of(params, grid):
     return response_prob_matrix(a, b, grid)
 
 
+def table_posterior(data, prob, grid):
+    """posterior on data's own stack: (post, loglik or PosteriorUnderflowError)."""
+    post, (loglik,) = posterior(PatternStack.of([data]), prob[None], grid)
+    return post, loglik
+
+
+def table_counts(data, post):
+    """expected_counts on data's own stack: its fit's (J, T) and (T,) counts."""
+    counts = expected_counts(PatternStack.of([data]), post)
+    return ExpectedCounts(n1=counts.n1[0], nt=counts.nt[0])
+
+
+def table_loglik(data, prob, grid):
+    """observed_loglik on data's own stack: its loglik or PosteriorUnderflowError."""
+    (loglik,) = observed_loglik(PatternStack.of([data]), prob[None], grid)
+    return loglik
+
+
 def loglik_at(data, params, grid):
-    return posterior(data, prob_of(params, grid), grid)[1]
+    return table_posterior(data, prob_of(params, grid), grid)[1]
 
 
 def posterior_at(data, params, grid):
-    return posterior(data, prob_of(params, grid), grid)[0]
+    return table_posterior(data, prob_of(params, grid), grid)[0]
 
 
 def two_point_grid():
@@ -91,6 +109,14 @@ class TestPatternLikelihoods:
         with pytest.raises(ValueError):
             loglik_at(data, [ItemParams(a=1, b=0)], normal_grid(2))
 
+    def test_matrix_without_its_fit_axis_is_rejected(self):
+        """A stack takes an (R, J, T) stack of matrices, never one (J, T) matrix."""
+        data = tabulate([[1, 0], [0, 1]])
+        grid = normal_grid(2)
+        prob = prob_of([ItemParams(a=1, b=0)] * 2, grid)
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 2\), got \(2, 2\)"):
+            posterior(PatternStack.of([data]), prob, grid)
+
 
 class TestPosterior:
     def test_two_node_example(self):
@@ -123,15 +149,30 @@ class TestPosterior:
         params, matrix, grid = random_instance(seed)
         data = tabulate(matrix)
         prob = prob_of(params, grid)
-        _, ll = posterior(data, prob, grid)
-        assert ll == observed_loglik(data, prob, grid)
+        _, ll = table_posterior(data, prob, grid)
+        assert ll == table_loglik(data, prob, grid)
 
     def test_underflow_is_reported(self):
         data = tabulate([[1]])
         dead_grid = QuadratureGrid(nodes=np.array([0.0]), weights=np.array([0.0]))
-        with pytest.raises(PosteriorUnderflowError) as err:
-            posterior_at(data, [ItemParams(a=1, b=0)], dead_grid)
-        assert err.value.pattern_index == 0
+        err = loglik_at(data, [ItemParams(a=1, b=0)], dead_grid)
+        assert isinstance(err, PosteriorUnderflowError) and err.pattern_index == 0
+
+    def test_posterior_and_observed_loglik_return_the_same_error(self):
+        """A non-finite pattern is one PosteriorUnderflowError in either
+        function's list, naming the pattern; neither raises nor gives nan."""
+        data = tabulate(generate(two_pl_truth(5), 300, 3))
+        x = data.patterns.astype(np.float64)
+        x[4, 2] = np.nan
+        broken = PatternData(patterns=x, freqs=data.freqs)
+        grid = normal_grid(4)
+        prob = prob_of(two_pl_truth(5), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = [table_posterior(broken, prob, grid)[1], table_loglik(broken, prob, grid)]
+        for err in errors:
+            assert isinstance(err, PosteriorUnderflowError) and err.pattern_index == 4
+        assert str(errors[0]) == str(errors[1])
 
     def test_underflow_error_survives_pickling(self):
         """A study process sends its run's exception to the caller pickled."""
@@ -144,27 +185,27 @@ class TestPosterior:
 class TestExpectedCounts:
     def test_single_pattern_scales_posterior(self):
         data = tabulate([[1]] * 10)
-        counts = expected_counts(data, np.array([[0.25, 0.75]]))
+        counts = table_counts(data, np.array([[0.25, 0.75]]))
         np.testing.assert_allclose(counts.n1, [[2.5, 7.5]])
         np.testing.assert_allclose(counts.nt, [2.5, 7.5])
 
     def test_two_patterns_uniform_posterior(self):
         data = tabulate([[1]] * 4 + [[0]] * 6)
-        counts = expected_counts(data, np.full((2, 2), 0.5))
+        counts = table_counts(data, np.full((2, 2), 0.5))
         np.testing.assert_allclose(counts.nt, [5.0, 5.0])
         np.testing.assert_allclose(counts.n1, [[2.0, 2.0]])
 
     def test_composes_with_posterior(self):
         data = tabulate([[1]])
         post = posterior_at(data, [ItemParams(a=1, b=0)], two_point_grid())
-        counts = expected_counts(data, post)
+        counts = table_counts(data, post)
         np.testing.assert_allclose(counts.n1, [[1 - SIG1, SIG1]], rtol=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_conservation(self, seed):
         params, matrix, grid = random_instance(seed)
         data = tabulate(matrix)
-        counts = expected_counts(data, posterior_at(data, params, grid))
+        counts = table_counts(data, posterior_at(data, params, grid))
         np.testing.assert_allclose(counts.nt.sum(), data.n_persons, atol=1e-8)
         np.testing.assert_allclose(
             counts.n1.sum(axis=1),
@@ -179,19 +220,19 @@ class TestObservedLoglik:
     def test_single_node(self):
         data = tabulate([[1]])
         grid = normal_grid(1)
-        ll = observed_loglik(data, prob_of([ItemParams(a=1, b=0)], grid), grid)
+        ll = table_loglik(data, prob_of([ItemParams(a=1, b=0)], grid), grid)
         np.testing.assert_allclose(ll, math.log(0.5), rtol=1e-12)
 
     def test_frequency_scaling(self):
         data = tabulate([[1], [1]])
         grid = normal_grid(1)
-        ll = observed_loglik(data, prob_of([ItemParams(a=1, b=0)], grid), grid)
+        ll = table_loglik(data, prob_of([ItemParams(a=1, b=0)], grid), grid)
         np.testing.assert_allclose(ll, 2 * math.log(0.5), rtol=1e-12)
 
     def test_symmetric_mixture(self):
         data = tabulate([[1]])
         grid = two_point_grid()
-        ll = observed_loglik(data, prob_of([ItemParams(a=1, b=0)], grid), grid)
+        ll = table_loglik(data, prob_of([ItemParams(a=1, b=0)], grid), grid)
         np.testing.assert_allclose(ll, math.log(0.5), rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -208,7 +249,7 @@ class TestObservedLoglik:
                     prob *= irf(p, node) if x else 1.0 - irf(p, node)
                 mixture += prob * weight
             expected += freq * math.log(mixture)
-        got = observed_loglik(data, prob_of(params, grid), grid)
+        got = table_loglik(data, prob_of(params, grid), grid)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -364,19 +405,19 @@ class TestBlockedEStep:
         data, prob, grid = wide_table
         longer = PatternData(patterns=data.patterns[:8], freqs=data.freqs[:8])
         for call in (
-            lambda: posterior(longer, prob, grid),
-            lambda: expected_counts(longer, np.full((8, grid.size), 1.0 / grid.size)),
-            lambda: observed_loglik(longer, prob, grid),
+            lambda: table_posterior(longer, prob, grid),
+            lambda: table_counts(longer, np.full((8, grid.size), 1.0 / grid.size)),
+            lambda: table_loglik(longer, prob, grid),
         ):
             with pytest.raises(ValueError, match="estep"):
                 call()
         exact = PatternData(patterns=data.patterns[:7], freqs=data.freqs[:7])
         ref_post, ref_ll, ref_n1, ref_nt = reference_estep(exact, prob, grid)
-        post, ll = posterior(exact, prob, grid)
-        counts = expected_counts(exact, post)
+        post, ll = table_posterior(exact, prob, grid)
+        counts = table_counts(exact, post)
         assert np.array_equal(post, ref_post) and ll == ref_ll
         assert np.array_equal(counts.n1, ref_n1) and np.array_equal(counts.nt, ref_nt)
-        assert observed_loglik(exact, prob, grid) == ref_ll
+        assert table_loglik(exact, prob, grid) == ref_ll
         ll, n1, nt = one_table_estep(exact, prob, grid)
         assert ll == ref_ll and np.array_equal(n1, ref_n1) and np.array_equal(nt, ref_nt)
 
@@ -384,11 +425,11 @@ class TestBlockedEStep:
         data, prob, grid = wide_table
         monkeypatch.setattr(expectation, "BLOCK_ROWS", data.n_patterns)
         ref_post, ref_ll, ref_n1, ref_nt = reference_estep(data, prob, grid)
-        post, ll = posterior(data, prob, grid)
-        counts = expected_counts(data, post)
+        post, ll = table_posterior(data, prob, grid)
+        counts = table_counts(data, post)
         assert np.array_equal(post, ref_post) and ll == ref_ll
         assert np.array_equal(counts.n1, ref_n1) and np.array_equal(counts.nt, ref_nt)
-        assert observed_loglik(data, prob, grid) == ref_ll
+        assert table_loglik(data, prob, grid) == ref_ll
 
     @pytest.mark.parametrize("seed", range(4))
     def test_small_table_is_bit_identical(self, seed):
@@ -398,8 +439,8 @@ class TestBlockedEStep:
         grid = normal_grid(int(rng.integers(2, 12)))
         prob = response_prob_matrix(rng.uniform(0.3, 2.5, 12), rng.uniform(-3, 3, 12), grid)
         ref_post, ref_ll, ref_n1, ref_nt = reference_estep(data, prob, grid)
-        post, ll = posterior(data, prob, grid)
-        counts = expected_counts(data, post)
+        post, ll = table_posterior(data, prob, grid)
+        counts = table_counts(data, post)
         assert np.array_equal(post, ref_post) and ll == ref_ll
         assert np.array_equal(counts.n1, ref_n1) and np.array_equal(counts.nt, ref_nt)
 

@@ -326,7 +326,7 @@ def test_stacked_counts_and_logliks_are_each_tables_own(n_items, n_quads):
     a NaN response in pattern 6, so its likelihood underflows.  It gets its
     own PosteriorUnderflowError, and the other tables' posteriors, counts
     and log-likelihoods equal expected_counts and observed_loglik on each
-    table alone, bit for bit, as they do in stacks without it, of two and
+    table's own one-table stack, bit for bit, as they do in stacks without it, of two and
     of three lengths, and in a stack out of length order.
     """
     rng = np.random.default_rng(n_items * 100 + n_quads)
@@ -358,12 +358,13 @@ def test_stacked_counts_and_logliks_are_each_tables_own(n_items, n_quads):
     assert isinstance(error, PosteriorUnderflowError) and error.pattern_index == 6
     others = [stacked([0, 1, 3], 3), stacked([1, 3], 2), stacked([3, 0, 1], 3)]
     for r in (0, 1, 3):
-        post, loglik = expectation.posterior(batch[r], prob[r], grid)
-        counts = expectation.expected_counts(batch[r], post)
-        assert loglik == expectation.observed_loglik(batch[r], prob[r], grid)
+        alone = expectation.PatternStack.of([batch[r]])
+        post, (loglik,) = expectation.posterior(alone, prob[r : r + 1], grid)
+        counts = expectation.expected_counts(alone, post)
+        assert [loglik] == expectation.observed_loglik(alone, prob[r : r + 1], grid)
         for got_loglik, got_arrays in [together[r]] + [s[r] for s in others if r in s]:
             assert got_loglik == loglik
-            for got, want in zip(got_arrays, [post, counts.n1, counts.nt]):
+            for got, want in zip(got_arrays, [post, counts.n1[0], counts.nt[0]]):
                 assert np.array_equal(got, want)
 
 

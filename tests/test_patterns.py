@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emirt import patterns
-from emirt.expectation import expected_counts, posterior, response_prob_matrix
+from emirt.expectation import PatternStack, expected_counts, posterior, response_prob_matrix
 from emirt.patterns import IngestionError, load_response_csv, tabulate
 from emirt.quadrature import normal_grid
 
@@ -85,8 +85,9 @@ def estep_item_totals(data):
     expected correct count of item j is its number of correct responses."""
     grid = normal_grid(1)
     n = data.n_items
-    post, _ = posterior(data, response_prob_matrix(np.ones(n), np.zeros(n), grid), grid)
-    return expected_counts(data, post).n1[:, 0]
+    stack = PatternStack.of([data])
+    post, _ = posterior(stack, response_prob_matrix(np.ones((1, n)), np.zeros((1, n)), grid), grid)
+    return expected_counts(stack, post).n1[0, :, 0]
 
 
 class TestItemTotals:

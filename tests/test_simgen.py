@@ -353,6 +353,16 @@ class TestReplicateStudy:
         with pytest.raises(ValueError, match="estimators repeat an estimator"):
             replicate_study(small_design(), estimators=("ols", "ols"))
 
+    def test_empty_estimator_list_rejected_before_any_work(self, monkeypatch):
+        from emirt import simgen
+
+        def no_generate(*args, **kwargs):
+            raise AssertionError("generated a replication")
+
+        monkeypatch.setattr(simgen, "generate", no_generate)
+        with pytest.raises(ValueError, match="estimators is empty"):
+            replicate_study(small_design(), estimators=())
+
     def test_multi_block_rows_independent_of_worker_count(self, monkeypatch):
         """A pool study's processes run their E-step blocks inline, a serial one on its threads."""
         from emirt import expectation
@@ -472,7 +482,7 @@ class TestReplicateStudy:
     def test_failures_counted_not_fatal(self, monkeypatch):
         from emirt import expectation
 
-        def broken_posterior(data, prob, grid):
+        def broken_posterior(stack, prob, grid):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(expectation, "posterior", broken_posterior)

@@ -154,8 +154,9 @@ def nr_mstep(
 
 
 def _make_nr_mstep(grid: QuadratureGrid, model: ModelKind):
-    def mstep(a, b, counts):
-        return (*nr_mstep(a, b, counts, grid, model), np.zeros(a.shape, dtype=bool))  # no item flags
+    def mstep(a, b, counts):  # no item flags, and a node without mass is no error here
+        no_flags, no_empty = np.zeros(a.shape, dtype=bool), np.zeros(counts.nt.shape, dtype=bool)
+        return (*nr_mstep(a, b, counts, grid, model), no_flags, no_empty)
 
     return mstep
 

@@ -118,12 +118,9 @@ def latent_responses(counts: ExpectedCounts, eps: float) -> np.ndarray:
     """Log-odds y = logit(N1 / N_t), the proportions clamped to [eps, 1 - eps].
 
     Works over leading axes: n1 of shape (J, T) or (R, J, T) gives y of
-    that shape.  Raises DegenerateNodeError, naming the node, if a node has
-    no expected mass.
+    that shape.  A node with no expected mass gives NaN log-odds; the OLS
+    M-step reports it as its fit's DegenerateNodeError.
     """
-    empty = counts.nt <= 0
-    if empty.any():
-        raise DegenerateNodeError(int(np.argwhere(empty)[0, -1]))
     prop = counts.n1 / counts.nt[..., None, :]
     prop = np.minimum(np.maximum(prop, eps), 1.0 - eps)  # np.clip, without its dispatch
     return np.log(prop / (1.0 - prop))
@@ -166,14 +163,6 @@ def ols_mstep(
     return a, b, degenerate
 
 
-def _check_params(a: np.ndarray, b: np.ndarray) -> None:
-    """Raise the ValueError of ItemParams for the first item it rejects."""
-    ok = np.isfinite(a) & np.isfinite(b) & (a != 0.0)
-    if not ok.all():
-        j = int(np.argmin(ok))
-        ItemParams(a=a[j], b=b[j])
-
-
 def _item_params(a: np.ndarray, b: np.ndarray) -> list[ItemParams]:
     return [ItemParams(a=a_j, b=b_j) for a_j, b_j in zip(a.tolist(), b.tolist())]
 
@@ -201,14 +190,17 @@ def _run_em(
     call itself is the outcome of each of its fits.
 
     make_mstep(grid, model) returns mstep(a, b, counts) -> (new_a, new_b,
-    degenerate) over the stacked arrays, the last marking items to flag
-    DEGENERATE_SLOPE.  A non-finite or zero estimate raises ItemParams'
-    ValueError.  When the stacked M-step of several fits raises, each fit's
-    M-step runs alone to find the fits that raise, and the others' stacked
-    M-step runs again.  A log-likelihood decrease raises ascent_error unless it is
-    None.  Each visited parameter set gets one clamped probability matrix,
-    shared by its phi residuals and its E-step, and one pattern likelihood
-    pass, whose normaliser gives the observed log-likelihood.
+    degenerate, empty) over the stacked arrays: degenerate (R, J) marks
+    items to flag DEGENERATE_SLOPE, and empty (R, T) marks the nodes that
+    M-step cannot take.  The M-step is one call per iteration, also when
+    fits fail: _checked_mstep gives each fit its error or None, the error
+    being the one that fit raises alone, and the error is the fit's
+    outcome, as for the E-step.  An error of the stacked call itself is
+    the outcome of every live fit.  A log-likelihood decrease raises
+    ascent_error unless it is None.  Each visited parameter set gets one
+    clamped probability matrix, shared by its phi residuals and its
+    E-step, and one pattern likelihood pass, whose normaliser gives the
+    observed log-likelihood.
 
     Each fit keeps its own iteration count, traces, flags and
     loglik_decreases, and leaves the lockstep when it converges, reaches
@@ -285,32 +277,27 @@ def _run_em(
         iteration += 1
 
         try:
-            new_a, new_b, degenerate, deltas = _checked_mstep(mstep, a, b, counts)
-        except Exception as exc:  # find the fits that raise alone, and go on without them
-            if len(live) == 1:
-                outcomes[live[0]] = exc
-                break
-            gone = []
-            for i, r in enumerate(live):
-                try:
-                    _checked_mstep(mstep, a[i : i + 1], b[i : i + 1],
-                                   ExpectedCounts(n1=counts.n1[i : i + 1], nt=counts.nt[i : i + 1]))
-                except Exception as exc:
-                    outcomes[r] = exc
-                    gone.append(i)
-            if len(gone) == len(live):
-                break
-            live, stacks, counts, a, b, flagged = _compact(gone, live, datas, counts, a, b, flagged)
-            new_a, new_b, degenerate, deltas = _checked_mstep(mstep, a, b, counts)
+            a, b, degenerate, deltas, errors = _checked_mstep(mstep, a, b, counts)
+        except Exception as exc:  # an error of the stacked call is the outcome of every live fit
+            errors = [exc] * len(live)
+        gone = [i for i, exc in enumerate(errors) if exc is not None]
+        for i in gone:  # a fit's error is its outcome, never the others'
+            outcomes[live[i]] = errors[i]
+        if len(gone) == len(live):
+            break
         flagged |= degenerate
+        if gone:
+            live, stacks, counts, a, b, flagged, deltas = _compact(
+                gone, live, datas, counts, a, b, flagged, deltas
+            )
 
-        prob = expectation.response_prob_matrix(new_a, new_b, grid)
+        prob = expectation.response_prob_matrix(a, b, grid)
         phi = expectation.phi_residuals(prob, counts)
+        deltas = deltas.tolist()
         for r, d, phi_max in zip(live, deltas, np.abs(phi).max(axis=(1, 2)).tolist()):
             outcomes[r].max_delta_trace.append(d)
             outcomes[r].phi_max_trace.append(phi_max)
 
-        a, b = new_a, new_b
         converged = [d < cfg.tol for d in deltas]
         stop = converged if iteration < cfg.max_iter else [True] * len(live)
 
@@ -318,16 +305,27 @@ def _run_em(
 
 
 def _checked_mstep(mstep, a, b, counts) -> tuple:
-    """mstep(a, b, counts) and each fit's largest parameter change, as a list.
+    """mstep(a, b, counts), each fit's largest parameter change, and each fit's error or None.
 
-    Raises ItemParams' ValueError for the first non-finite or zero estimate.
+    A fit's error is DegenerateNodeError for the first node the M-step
+    marks empty, else ItemParams' ValueError for its first non-finite or
+    zero estimate: the error of the same fit run alone.  The check is one
+    vectorised test of all fits; only a failing M-step looks at each fit.
     """
-    new_a, new_b, degenerate = mstep(a, b, counts)
+    new_a, new_b, degenerate, empty = mstep(a, b, counts)
     # np.maximum and max keep NaN; a finite delta from finite (a, b) means finite estimates
-    deltas = np.maximum(np.abs(new_a - a), np.abs(new_b - b)).max(axis=-1).tolist()
-    if not (all(map(math.isfinite, deltas)) and new_a.all()):
-        _check_params(new_a.ravel(), new_b.ravel())
-    return new_a, new_b, degenerate, deltas
+    deltas = np.maximum(np.abs(new_a - a), np.abs(new_b - b)).max(axis=-1)
+    errors = [None] * len(deltas)
+    if not (np.isfinite(deltas).all() and new_a.all() and not empty.any()):
+        for i, (node_empty, a_i, b_i) in enumerate(zip(empty, new_a, new_b)):
+            if node_empty.any():
+                errors[i] = DegenerateNodeError(int(node_empty.argmax()))
+                continue
+            try:
+                _item_params(a_i, b_i)
+            except ValueError as exc:
+                errors[i] = exc
+    return new_a, new_b, degenerate, deltas, errors
 
 
 def _compact(
@@ -355,11 +353,11 @@ def _one_fit(outcomes: list[FitResult | Exception]) -> FitResult:
 def _make_ols_mstep(grid: QuadratureGrid, model: ModelKind):
     eps = 1.0 / (1.0 + math.exp(log_odds_cap(grid)))
 
-    # A non-finite y makes the fit's estimates non-finite, and _checked_mstep
-    # turns them into the fit's error: numpy's warnings on the way are noise.
+    # An empty node or a non-finite y makes the fit's estimates non-finite, and
+    # _checked_mstep turns them into the fit's error: numpy's warnings on the way are noise.
     @np.errstate(divide="ignore", invalid="ignore")
     def mstep(a, b, counts):
-        return ols_mstep(latent_responses(counts, eps=eps), grid, model)
+        return (*ols_mstep(latent_responses(counts, eps=eps), grid, model), counts.nt <= 0)
 
     return mstep
 

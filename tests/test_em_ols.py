@@ -43,18 +43,23 @@ class TestLatentResponses:
         y = latent_responses(counts, eps=1e-6)
         np.testing.assert_allclose(y, [[math.log(1e-6 / (1 - 1e-6))]], rtol=1e-12)
 
-    def test_empty_node_rejected(self):
-        counts = ExpectedCounts(n1=np.array([[0.0, 1.0]]), nt=np.array([0.0, 2.0]))
-        with pytest.raises(DegenerateNodeError) as err:
-            latent_responses(counts, eps=1e-6)
-        assert err.value.node_index == 0
-
     def test_empty_node_error_survives_pickling(self):
         """A study process sends its run's exception to the caller pickled."""
         import pickle
 
         err = pickle.loads(pickle.dumps(DegenerateNodeError(3)))
         assert (str(err), err.node_index) == (str(DegenerateNodeError(3)), 3)
+
+
+class TestCheckedMstep:
+    """The OLS M-step as the EM loop runs it: each fit's error as an item of a list."""
+
+    def test_empty_node_rejected(self):
+        counts = ExpectedCounts(n1=np.array([[[0.0, 1.0]]]), nt=np.array([[0.0, 2.0]]))
+        mstep = em_ols._make_ols_mstep(grid_at(-1, 1), ModelKind.TWO_PL)
+        *_, errors = em_ols._checked_mstep(mstep, np.ones((1, 1)), np.zeros((1, 1)), counts)
+        assert isinstance(errors[0], DegenerateNodeError)
+        assert errors[0].node_index == 0
 
 
 class TestLogOddsCap:

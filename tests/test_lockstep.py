@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emirt import em_nr, em_ols, expectation
-from emirt.em_ols import FitConfig, FitResult
+from emirt.em_ols import DegenerateNodeError, FitConfig, FitResult
 from emirt.expectation import PosteriorUnderflowError
 from emirt.model import ItemParams, ModelKind
 from emirt.patterns import PatternData, tabulate
@@ -100,6 +100,95 @@ def test_raising_and_capped_fits_leave_the_others_unaffected(estimator):
     fits = [o for o in together if isinstance(o, FitResult)]
     assert any(f.converged for f in fits)
     assert any(not f.converged and f.iterations == cfg.max_iter for f in fits)
+
+
+def test_one_ols_mstep_call_per_iteration(monkeypatch):
+    """The stacked M-step runs once per iteration, also at the one where a fit raises.
+
+    The batch of test_raising_and_capped_fits_leave_the_others_unaffected:
+    replication 0 raises ItemParams' ValueError at iteration 10, and the
+    fits that reach max_iter make the lockstep run 50 iterations.
+    """
+    seeds = np.random.SeedSequence(107).spawn(10)
+    cell = [tabulate(generate(TRUTH[ModelKind.TWO_PL], 5000, seed)) for seed in seeds]
+    batch = [*cell[:5], nan_pattern_table(cell[5]), *cell[5:]]
+    calls = []
+
+    def counted(y, *args, original=em_ols.ols_mstep):
+        calls.append(len(y))
+        return original(y, *args)
+
+    monkeypatch.setattr(em_ols, "ols_mstep", counted)
+    outcomes = em_ols.fit_lockstep(batch, FitConfig(model=ModelKind.TWO_PL, n_quads=15, max_iter=50))
+    assert isinstance(outcomes[0], ValueError) and isinstance(outcomes[5], PosteriorUnderflowError)
+    iterations = max(o.iterations for o in outcomes if isinstance(o, FitResult))
+    assert len(calls) == iterations == 50
+    assert calls[9:11] == [10, 9]  # replication 0 leaves after its M-step at iteration 10
+
+
+def emptying_estep(estep, target, node, first_call):
+    """estep, with target's counts zeroed at node from its first_call-th E-step on.
+
+    The wrapper's emptied list records the number of tables in each stack
+    whose counts it zeroed.
+    """
+
+    def wrapped(stack, prob, grid):
+        logliks, counts = estep(stack, prob, grid)
+        rows = [k for k, data in enumerate(stack.tables) if data is target]
+        if rows:
+            wrapped.calls += 1
+            if wrapped.calls >= first_call:
+                counts.n1[rows[0], :, node] = 0.0
+                counts.nt[rows[0], node] = 0.0
+                wrapped.emptied.append(len(stack.tables))
+        return logliks, counts
+
+    wrapped.calls, wrapped.emptied = 0, []
+    return wrapped
+
+
+@pytest.mark.parametrize("estimator", sorted(ENGINES))
+def test_an_empty_node_is_the_error_of_its_fit_alone(tables, estimator, monkeypatch):
+    """Table 2 of a five-table stack loses all mass at node 2 from its fourth E-step on.
+
+    Under OLS that fit's outcome is the DegenerateNodeError it raises alone,
+    naming node 2, and the other fits of the stack run on as they do alone,
+    bit for bit.  The NR M-step takes an empty node: that fit ends as it
+    does alone, with no DegenerateNodeError.
+    """
+    fit_fn, lockstep = ENGINES[estimator]
+    batch = tables[ModelKind.TWO_PL]
+    target, node = batch[2], 2
+    cfg = FitConfig(model=ModelKind.TWO_PL, n_quads=4, max_iter=100)
+    estep = expectation.estep
+    monkeypatch.setattr(expectation, "estep", emptying_estep(estep, target, node, first_call=4))
+    together = lockstep(batch, cfg)
+    assert expectation.estep.emptied[0] == len(batch)
+    monkeypatch.setattr(expectation, "estep", emptying_estep(estep, target, node, first_call=4))
+    alone = one_at_a_time(fit_fn, batch, cfg)
+    assert [outcome_repr(o) for o in together] == [outcome_repr(o) for o in alone]
+    assert all(isinstance(o, FitResult) for o in together[:2] + together[3:])
+    if estimator == "ols":
+        assert isinstance(together[2], DegenerateNodeError) and together[2].node_index == node
+    else:
+        assert not isinstance(together[2], DegenerateNodeError)
+
+
+def test_an_error_of_the_stacked_mstep_call_is_every_live_fits_outcome(tables):
+    """A fit that left before the M-step keeps its own outcome."""
+    error = RuntimeError("the stacked M-step failed")
+
+    def make_mstep(grid, model):
+        def mstep(a, b, counts):
+            raise error
+
+        return mstep
+
+    batch = [*tables[ModelKind.TWO_PL][:3], nan_pattern_table(tables[ModelKind.TWO_PL][3])]
+    outcomes = em_ols._run_em(batch, FitConfig(model=ModelKind.TWO_PL), make_mstep, None)
+    assert outcomes[:3] == [error] * 3
+    assert isinstance(outcomes[3], PosteriorUnderflowError)
 
 
 @pytest.mark.parametrize("block_rows", [7, expectation.BLOCK_ROWS])
